@@ -5,7 +5,10 @@ h_{c,k}(w) = [x * psi_c (w)]^k: the mean over all d translations of the
 coefficient at a vertex equals the spatial mean of h, and the covariance of
 an edge equals the spatial cross-correlation of the centered fields at the
 edge's pixel lag.  This makes the tables exactly invariant under any integer
-translation of the input.
+translation of the input.  The correlations are taken in the Fourier domain
+(see :class:`EdgeComputer`): each harmonic slice is transformed once, a
+zero-lag covariance follows from Parseval's identity, and the lags of a slice
+pair from one FFT of its cross-spectrum.
 
 Further group flags act by channel relabeling (never by image resampling):
 rotations shift the angular index of both vertices (valid for edges at a
@@ -14,11 +17,12 @@ second lag component, the central reflection shifts ell by Q/2 and negates
 the lag, and the sign change multiplies an edge by (-1)^(k+k').
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .graph import SymmetryGroup
 from .harmonics import harmonic_derivative, phase_harmonic
 from .wavelets import LOWPASS, channel_fields
@@ -45,6 +49,10 @@ def _band_row(channel):
     return LOWPASS if channel == LOWPASS else channel[0]
 
 
+def _row_channel(row, ell):
+    return LOWPASS if row == LOWPASS else (row, ell)
+
+
 def _reflect_channel(ch, Q):
     return ch if ch == LOWPASS else (ch[0], (-ch[1]) % Q)
 
@@ -53,41 +61,43 @@ def _central_channel(ch, Q):
     return ch if ch == LOWPASS else (ch[0], (ch[1] + Q // 2) % Q)
 
 
-def edge_orbit_terms(edge, group, Q):
+def edge_orbit_terms(ch, ch2, du, group, Q):
     """Concrete correlation terms (weight, ch, ch2, du) averaged for an edge.
 
     Rotations are not expanded here; they are applied as an angular-axis
     average inside the correlation engine.  The sign change is a scalar
     factor handled by the caller.
     """
-    terms = [(1.0, edge.ch, edge.ch2, edge.du)]
+    terms = [(1.0, ch, ch2, du)]
     if group.line_reflection:
-        terms = [
-            t
-            for pair in (
-                ((w / 2, c, c2, du), (w / 2, _reflect_channel(c, Q), _reflect_channel(c2, Q), (du[0], -du[1])))
-                for (w, c, c2, du) in terms
-            )
-            for t in pair
-        ]
+        terms = [t for (w, c, c2, u) in terms for t in (
+            (w / 2, c, c2, u),
+            (w / 2, _reflect_channel(c, Q), _reflect_channel(c2, Q), (u[0], -u[1])))]
     if group.central_reflection:
-        terms = [
-            t
-            for pair in (
-                ((w / 2, c, c2, du), (w / 2, _central_channel(c, Q), _central_channel(c2, Q), (-du[0], -du[1])))
-                for (w, c, c2, du) in terms
-            )
-            for t in pair
-        ]
+        terms = [t for (w, c, c2, u) in terms for t in (
+            (w / 2, c, c2, u),
+            (w / 2, _central_channel(c, Q), _central_channel(c2, Q), (-u[0], -u[1])))]
     return terms
 
 
 class EdgeComputer:
     """Precomputed machinery to evaluate a fixed edge set on varying fields.
 
-    Groups the orbit terms of every edge by slice pair so each objective or
-    table evaluation costs one FFT correlation per used pair (or one angular
-    Gram matrix per row pair under rotation averaging).
+    Harmonic fields are stacked by row: (row, k) -> (Q, N, N) for a scale,
+    (1, N, N) for the low-pass.  The orbit terms of every edge are grouped
+    by the slice pair they correlate.
+
+    A "fix" group correlates two slices at fixed pixel lags, in the Fourier
+    domain.  The slices some fix group uses are transformed once per field,
+    one stacked ``fft2`` per row, and their spectra A, B stand in for the
+    centered slices.  A group with only the zero lag reads its value off the
+    spectra by Parseval, vdot(B, A) / d^2; a group with lags takes one FFT of
+    its cross-spectrum A conj(B).  The gradient adds B conj(G) and A G, G the
+    FFT of the group's cotangent lag grid, to Fourier accumulators of the
+    slices and takes one inverse FFT per row.
+
+    A "rot" group (rotation averaging) correlates two whole rows at a
+    relative angle, in space; rows only rot groups use stay spatial.
     """
 
     def __init__(self, edges, spec, bank):
@@ -104,67 +114,70 @@ class EdgeComputer:
         self.group = spec.group
         self.Q = spec.Q
         self.d = bank.d
-        self.rows = self._collect_rows()
+        self.rows = list(dict.fromkeys(
+            (_band_row(c), k) for e in self.edges for (c, k) in ((e.ch, e.k), (e.ch2, e.k2))))
         self.sign_factor = np.array(
-            [
-                0.0 if (self.group.sign_change and (e.k + e.k2) % 2 == 1) else 1.0
-                for e in self.edges
-            ]
-        )
-        self.terms = []  # per edge: list of (weight, ch, ch2, du)
-        for e in self.edges:
-            terms = edge_orbit_terms(e, self.group, self.Q)
-            if self.group.rotations:
-                for (_, c, c2, du) in terms:
-                    if du != (0, 0) and (c != LOWPASS or c2 != LOWPASS):
-                        raise ConfigError("rotation averaging needs edges at a single position")
-            self.terms.append(terms)
+            [0.0 if self.group.sign_change and (e.k + e.k2) % 2 == 1 else 1.0 for e in self.edges])
         self._index_terms()
-
-    def _collect_rows(self):
-        rows = {}
-        for e in self.edges:
-            rows[(_band_row(e.ch), e.k)] = None
-            rows[(_band_row(e.ch2), e.k2)] = None
-        return list(rows)
+        # slices each row transforms, and where each sits in the row's spectra
+        used = {}
+        for key in self.pair_groups:
+            if key[0] == "fix":
+                for (ch, k) in key[1:]:
+                    used.setdefault((_band_row(ch), k), set()).add(0 if ch == LOWPASS else ch[1])
+        self.fix_ells = {rk: sorted(ells) for rk, ells in used.items()}
+        self.slot = {
+            (_row_channel(rk[0], ell), rk[1]): (rk, i)
+            for rk, ells in self.fix_ells.items() for i, ell in enumerate(ells)
+        }
+        self.rot_rows = {rk for key in self.pair_groups if key[0] == "rot" for rk in key[1:3]}
 
     def _index_terms(self):
-        """Group all (edge, term) pairs by the slice pair they correlate."""
-        self.pair_groups = {}  # key -> list of (edge_idx, weight, du)
-        for idx, terms in enumerate(self.terms):
-            for (w, c, c2, du) in terms:
+        """Group the orbit terms of all edges by the slice pair they correlate."""
+        groups = {}  # key -> list of (edge_idx, weight, du)
+        for idx, e in enumerate(self.edges):
+            for (w, c, c2, du) in edge_orbit_terms(e.ch, e.ch2, e.du, self.group, self.Q):
                 if self.group.rotations and (c != LOWPASS or c2 != LOWPASS):
+                    if du != (0, 0):
+                        raise ConfigError("rotation averaging needs edges at a single position")
                     dl = 0 if LOWPASS in (c, c2) else (c2[1] - c[1]) % self.Q
-                    key = ("rot", (_band_row(c), self.edges[idx].k),
-                           (_band_row(c2), self.edges[idx].k2), dl)
+                    key = ("rot", (_band_row(c), e.k), (_band_row(c2), e.k2), dl)
                 else:
-                    key = ("fix", (c, self.edges[idx].k), (c2, self.edges[idx].k2))
-                self.pair_groups.setdefault(key, []).append((idx, w, du))
+                    key = ("fix", (c, e.k), (c2, e.k2))
+                groups.setdefault(key, []).append((idx, w, du))
+        self.pair_groups = {}
+        for key, members in groups.items():
+            idx, w, du = zip(*members)
+            lag = tuple(np.array(du).T % self.bank.side)
+            self.pair_groups[key] = _Group(np.array(idx), np.array(w), lag,
+                                           bool(lag[0].any() or lag[1].any()))
+
+    def _orbit(self, ch):
+        """Weighted images of a channel under the group's channel relabelings."""
+        terms = [(w, c) for (w, c, _, _) in edge_orbit_terms(ch, ch, (0, 0), self.group, self.Q)]
+        if self.group.rotations and ch != LOWPASS:
+            terms = [(w / self.Q, (c[0], (c[1] + eta) % self.Q))
+                     for (w, c) in terms for eta in range(self.Q)]
+        return terms
 
     # ----- field-dependent quantities -------------------------------------
 
     def harmonic_rows(self, x):
-        """Stacked harmonic fields per row: (Q, N, N) for scales, (N, N) for low."""
+        """Stacked harmonic fields per row: (Q, N, N) for scales, (1, N, N) for low."""
         fields = channel_fields(x, self.bank)
         out = {}
         for (row, k) in self.rows:
-            if row == LOWPASS:
-                out[(row, k)] = phase_harmonic(fields[LOWPASS], k)
-            else:
-                out[(row, k)] = np.stack(
-                    [phase_harmonic(fields[(row, ell)], k) for ell in range(self.Q)]
-                )
+            width = 1 if row == LOWPASS else self.Q
+            out[(row, k)] = np.stack(
+                [phase_harmonic(fields[_row_channel(row, ell)], k) for ell in range(width)]
+            )
         return out, fields
 
     def raw_means(self, rows):
         means = {}
         for (row, k), h in rows.items():
-            if row == LOWPASS:
-                means[(LOWPASS, k)] = complex(h.mean())
-            else:
-                per_ell = h.mean(axis=(1, 2))
-                for ell in range(self.Q):
-                    means[((row, ell), k)] = complex(per_ell[ell])
+            for ell, m in enumerate(h.mean(axis=(1, 2))):
+                means[(_row_channel(row, ell), k)] = complex(m)
         return means
 
     def averaged_means(self, raw):
@@ -172,21 +185,7 @@ class EdgeComputer:
         out = {}
         for (ch, k) in raw:
             acc = 0.0
-            terms = [(1.0, ch)]
-            if self.group.line_reflection:
-                terms = [(w / 2, c) for (w, c) in terms] + [
-                    (w / 2, _reflect_channel(c, self.Q)) for (w, c) in terms
-                ]
-            if self.group.central_reflection:
-                terms = [(w / 2, c) for (w, c) in terms] + [
-                    (w / 2, _central_channel(c, self.Q)) for (w, c) in terms
-                ]
-            if self.group.rotations and ch != LOWPASS:
-                rot = []
-                for (w, c) in terms:
-                    rot.extend((w / self.Q, (c[0], (c[1] + eta) % self.Q)) for eta in range(self.Q))
-                terms = rot
-            for (w, c) in terms:
+            for (w, c) in self._orbit(ch):
                 acc += w * raw[(c, k)]
             if self.group.sign_change:
                 acc = 0.0 if k % 2 == 1 else acc
@@ -194,68 +193,57 @@ class EdgeComputer:
         return out
 
     def centered_rows(self, rows, means):
-        out = {}
-        for (row, k), h in rows.items():
-            if row == LOWPASS:
-                out[(row, k)] = h - means[(LOWPASS, k)]
-            else:
-                offs = np.array([means[((row, ell), k)] for ell in range(self.Q)])
-                out[(row, k)] = h - offs[:, None, None]
-        return out
+        """Centered rows as (spatial, spectra).
 
-    def _slice(self, centered, ch, k):
-        if ch == LOWPASS:
-            return centered[(LOWPASS, k)]
-        return centered[(ch[0], k)][ch[1]]
+        ``spatial`` keeps the rows rot groups use; ``spectra[(row, k)]`` holds
+        the fft2 of the centered slices ``fix_ells[(row, k)]``, in that order.
+        """
+        spatial, spectra = {}, {}
+        for (row, k), h in rows.items():
+            offs = np.array([means[(_row_channel(row, ell), k)] for ell in range(len(h))])
+            offs = offs[:, None, None]
+            if (row, k) in self.rot_rows:
+                spatial[(row, k)] = h - offs
+            ells = self.fix_ells.get((row, k))
+            if ells is not None:
+                spectra[(row, k)] = np.fft.fft2(h[ells] - offs[ells])
+        return spatial, spectra
 
     def edge_values(self, centered):
-        """All edge covariances from centered harmonic rows."""
+        """All edge covariances from :meth:`centered_rows` output."""
+        spatial, spectra = centered
+        d2 = self.d * self.d
         vals = np.zeros(len(self.edges), dtype=complex)
-        for key, members in self.pair_groups.items():
+        for key, g in self.pair_groups.items():
             if key[0] == "rot":
                 _, row1, row2, dl = key
-                h1 = centered[row1]
-                h2 = centered[row2]
-                if row1[0] == LOWPASS or row2[0] == LOWPASS:
-                    t = np.mean(h1 * np.conj(h2))  # broadcast averages the band angles
-                else:
-                    t = np.mean(h1 * np.conj(np.roll(h2, -dl, axis=0)))
-                for (idx, w, _du) in members:
-                    vals[idx] += w * t
+                # a low-pass row broadcasts against the band angles
+                t = np.mean(spatial[row1] * np.conj(np.roll(spatial[row2], -dl, axis=0)))
             else:
-                _, (c1, k1), (c2, k2) = key
-                a = self._slice(centered, c1, k1)
-                b = self._slice(centered, c2, k2)
-                lagmap = None
-                for (idx, w, du) in members:
-                    if du == (0, 0):
-                        t = np.mean(a * np.conj(b))
-                    else:
-                        if lagmap is None:
-                            lagmap = np.fft.fft2(np.fft.fft2(a) * np.conj(np.fft.fft2(b))) / (self.d * self.d)
-                        t = lagmap[du[0] % a.shape[0], du[1] % a.shape[1]]
-                    vals[idx] += w * t
+                (ra, ia), (rb, ib) = self.slot[key[1]], self.slot[key[2]]
+                a, b = spectra[ra][ia], spectra[rb][ib]
+                if g.shifted:
+                    t = np.fft.fft2(a * np.conj(b))[g.lag] / d2
+                else:
+                    t = np.vdot(b, a) / d2
+            np.add.at(vals, g.idx, g.w * t)
         return vals * self.sign_factor
 
     def diagonals(self, centered):
         """Own-diagonal K(v, v) per vertex class (group averaged)."""
+        spatial, spectra = centered
+        power = {}
+        for (row, k), h in spatial.items():
+            for ell, p in enumerate(np.mean(np.abs(h) ** 2, axis=(1, 2))):
+                power[(_row_channel(row, ell), k)] = float(p)
+        for (row, k), s in spectra.items():  # Parseval
+            p = np.sum(np.abs(s) ** 2, axis=(1, 2)) / (self.d * self.d)
+            for ell, pe in zip(self.fix_ells[(row, k)], p):
+                power[(_row_channel(row, ell), k)] = float(pe)
         diag = {}
         for e in self.edges:
             for (ch, k) in ((e.ch, e.k), (e.ch2, e.k2)):
-                if (ch, k) in diag:
-                    continue
-                if self.group.rotations and ch != LOWPASS:
-                    h = centered[(ch[0], k)]
-                    diag[(ch, k)] = float(np.mean(np.abs(h) ** 2))
-                else:
-                    terms = edge_orbit_terms(
-                        _DiagEdge(ch, k), self.group, self.Q
-                    )
-                    val = 0.0
-                    for (w, c, _c2, _du) in terms:
-                        s = self._slice(centered, c, k)
-                        val += w * float(np.mean(np.abs(s) ** 2))
-                    diag[(ch, k)] = val
+                diag[(ch, k)] = sum(w * power[(c, k)] for (w, c) in self._orbit(ch))
         return diag
 
     # ----- objective support ----------------------------------------------
@@ -263,80 +251,70 @@ class EdgeComputer:
     def gradient_fields(self, centered, fields, cot):
         """Real gradient of sum_e 2*Re[cot_e * dK_e] through the harmonics.
 
-        ``cot`` holds per-edge Wirtinger cotangents dF/dK(e).
+        ``cot`` holds per-edge Wirtinger cotangents dF/dK(e).  With g(du) a
+        fix group's cotangent grid, the slices gain
+        P_a(w) = (1/d) sum_du g(du) conj(b(w+du)) and
+        P_b(w) = (1/d) sum_du conj(g(du)) conj(a(w-du)),
+        accumulated as B conj(G) and A G and inverted once per row.
         """
-        P = {rk: np.zeros_like(centered[rk]) for rk in centered}
+        spatial, spectra = centered
+        n = self.bank.side
+        P = {rk: np.zeros_like(h) for rk, h in spatial.items()}
+        acc = {rk: np.zeros_like(s) for rk, s in spectra.items()}
         cot = cot * self.sign_factor
-        for key, members in self.pair_groups.items():
+        for key, g in self.pair_groups.items():
+            c = cot[g.idx] * g.w
             if key[0] == "rot":
                 _, row1, row2, dl = key
-                h1 = centered[row1]
-                h2 = centered[row2]
-                wsum = sum(cot[idx] * w for (idx, w, _du) in members)
-                if wsum == 0.0:
+                # T = mean(h1 * conj(h2 rolled)) over the Q*d broadcast entries
+                scale = c.sum() / (self.d * self.Q)
+                if scale == 0.0:
                     continue
-                # T = mean(h1 * conj(h2 rolled)) over the Q*d broadcast entries;
-                # low-low pairs are routed to the "fix" branch
-                scale = wsum / (self.d * self.Q)
-                if row2[0] == LOWPASS:
-                    P[row1] += scale * np.conj(h2)[None]
-                    P[row2] += np.conj(scale) * np.conj(h1).sum(axis=0)
-                elif row1[0] == LOWPASS:
-                    P[row1] += scale * np.conj(h2).sum(axis=0)
-                    P[row2] += np.conj(scale) * np.conj(h1)[None]
+                h1, h2 = spatial[row1], spatial[row2]
+                P[row1] += _fold_angles(scale * np.conj(np.roll(h2, -dl, axis=0)), len(h1))
+                P[row2] += _fold_angles(np.conj(scale) * np.conj(np.roll(h1, dl, axis=0)), len(h2))
+            else:
+                (ra, ia), (rb, ib) = self.slot[key[1]], self.slot[key[2]]
+                if g.shifted:
+                    grid = np.zeros((n, n), dtype=complex)
+                    np.add.at(grid, g.lag, c)
+                    ghat = np.fft.fft2(grid)
                 else:
-                    P[row1] += scale * np.conj(np.roll(h2, -dl, axis=0))
-                    P[row2] += np.conj(scale) * np.conj(np.roll(h1, dl, axis=0))
-            else:
-                _, rk1, rk2 = key
-                (c1, k1), (c2, k2) = rk1, rk2
-                a = self._slice(centered, c1, k1)
-                b = self._slice(centered, c2, k2)
-                n = a.shape[0]
-                grid = np.zeros((n, n), dtype=complex)
-                for (idx, w, du) in members:
-                    grid[du[0] % n, du[1] % n] += cot[idx] * w
-                # P_a(w) = (1/d) sum_du g(du) conj(b(w+du))
-                # P_b(w) = (1/d) sum_du conj(g(du)) conj(a(w-du))
-                pa = np.conj(np.fft.ifft2(np.fft.fft2(b) * np.conj(np.fft.fft2(grid))))
-                pb = np.conj(np.fft.ifft2(np.fft.fft2(a) * np.fft.fft2(grid)))
-                self._accumulate(P, c1, k1, pa / self.d)
-                self._accumulate(P, c2, k2, pb / self.d)
-        # chain through the phase harmonic and back through the filters
-        total_hat = np.zeros((self.bank.side, self.bank.side), dtype=complex)
-        per_channel = {}
+                    ghat = c.sum()  # the FFT of a zero-lag grid is constant
+                acc[ra][ia] += spectra[rb][ib] * np.conj(ghat)
+                acc[rb][ib] += spectra[ra][ia] * ghat
+        per_slice = {}
         for (row, k), p in P.items():
-            if row == LOWPASS:
-                y = fields[LOWPASS]
-                d1, d2 = harmonic_derivative(y, k)
-                g = p * d1 + np.conj(p) * np.conj(d2)
-                per_channel[LOWPASS] = per_channel.get(LOWPASS, 0) + g
-            else:
-                for ell in range(self.Q):
-                    y = fields[(row, ell)]
-                    d1, d2 = harmonic_derivative(y, k)
-                    g = p[ell] * d1 + np.conj(p[ell]) * np.conj(d2)
-                    per_channel[(row, ell)] = per_channel.get((row, ell), 0) + g
+            for ell in range(len(p)):
+                per_slice[(_row_channel(row, ell), k)] = p[ell]
+        for (row, k) in list(acc):
+            p = np.conj(np.fft.ifft2(acc.pop((row, k)))) / self.d
+            for ell, pe in zip(self.fix_ells[(row, k)], p):
+                key = (_row_channel(row, ell), k)
+                per_slice[key] = per_slice[key] + pe if key in per_slice else pe
+        # chain through the phase harmonic and back through the filters
+        per_channel = {}
+        for (ch, k), p in per_slice.items():
+            d1, d2 = harmonic_derivative(fields[ch], k)
+            per_channel[ch] = per_channel.get(ch, 0) + (p * d1 + np.conj(p) * np.conj(d2))
+        total_hat = np.zeros((n, n), dtype=complex)
         for ch, g in per_channel.items():
             total_hat += self.bank.filter(ch) * np.fft.ifft2(g)
         return 2.0 * np.real(np.fft.fft2(total_hat))
 
-    def _accumulate(self, P, ch, k, val):
-        if ch == LOWPASS:
-            P[(LOWPASS, k)] += val
-        else:
-            P[(ch[0], k)][ch[1]] += val
+
+class _Group(NamedTuple):
+    """Members of one pair group: edge indices, weights and lags (mod side)."""
+
+    idx: np.ndarray
+    w: np.ndarray
+    lag: tuple
+    shifted: bool            # some member has a non-zero lag
 
 
-class _DiagEdge:
-    """Minimal edge stand-in for diagonal orbit enumeration."""
-
-    def __init__(self, ch, k):
-        self.ch = ch
-        self.k = k
-        self.ch2 = ch
-        self.k2 = k
-        self.du = (0, 0)
+def _fold_angles(v, width):
+    """Sum the angle axis of ``v`` when it accumulates into a one-slice row."""
+    return v.sum(axis=0, keepdims=True) if width < len(v) else v
 
 
 def estimate_mean(x, spec, bank, edges=None):

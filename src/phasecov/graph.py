@@ -67,6 +67,23 @@ class OptimizerSettings:
     restarts: int = 10
     seed: int = 0
 
+    def validate(self):
+        """Type and range checks: integer counts >= 1, a seed >= 0,
+        0 < c1 < c2 < 1 and finite gtol, eps_ratio >= 0."""
+        for name, low in (("max_iter", 1), ("memory", 1), ("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"optimizer {name} must be an integer >= {low}, got {value!r}")
+        for name in ("c1", "c2", "gtol", "eps_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+                raise ConfigError(f"optimizer {name} must be a finite number, got {value!r}")
+        if not 0 < self.c1 < self.c2 < 1:
+            raise ConfigError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
+        if self.gtol < 0 or self.eps_ratio < 0:
+            raise ConfigError("optimizer gtol and eps_ratio must be >= 0")
+        return self
+
     def to_dict(self):
         return {
             "max_iter": self.max_iter,
@@ -264,8 +281,6 @@ def _edges_custom(spec):
                 window = half_offsets(spec.delta_n) if same_channel else ball_offsets(spec.delta_n)
                 for (k, k2) in kk:
                     for n in window:
-                        if same_channel and n == (0, 0) and k == k2:
-                            pass  # diagonal edge, keep
                         edges.append(Edge((j, ell), k, (j2, ell2), k2, _pixels(n, stride)))
     stride = 2 ** (spec.J - 1)
     for k in (0, 1):

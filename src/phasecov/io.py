@@ -13,6 +13,8 @@ anywhere are rejected.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -49,23 +51,34 @@ def write_field(path, array):
         fh.write(payload)
 
 
+def _read_exact(fh, size, what):
+    """Exactly ``size`` bytes from ``fh``; FormatError when the file is shorter."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > remaining:
+        raise FormatError(f"truncated file: {what} needs {size} bytes, {remaining} left")
+    return fh.read(size)
+
+
+def _unpack(fh, fmt, what):
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt), what))[0]
+
+
 def read_field(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FIELD_MAGIC:
             raise FormatError(f"bad field magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = _unpack(fh, "<I", "version")
         if version != VERSION:
             raise FormatError(f"unsupported field version {version}")
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        dims = [struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim)]
-        (tag,) = struct.unpack("<B", fh.read(1))
+        ndim = _unpack(fh, "<I", "ndim")
+        dims = [_unpack(fh, "<Q", "dimension") for _ in range(ndim)]
+        tag = _unpack(fh, "<B", "dtype tag")
         if tag not in (0, 1):
             raise FormatError(f"unknown dtype tag {tag}")
         dtype = "<f8" if tag == 0 else "<c16"
-        count = int(np.prod(dims)) if dims else 1
         payload = fh.read()
-    expected = count * (8 if tag == 0 else 16)
+    expected = math.prod(dims) * (8 if tag == 0 else 16)
     if len(payload) != expected:
         raise FormatError(f"payload length {len(payload)} != expected {expected}")
     return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
@@ -132,27 +145,35 @@ def read_table(path):
     with open(path, "rb") as fh:
         if fh.read(4) != TABLE_MAGIC:
             raise FormatError("bad table magic")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version = _unpack(fh, "<I", "version")
         if version != VERSION:
             raise FormatError(f"unsupported table version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
-        edge_keys = [_key_from_json(e) for e in header["edges"]]
-        classes = [(_channel_from_json(c), int(k)) for c, k in header["vertex_classes"]]
-        diag_classes = [(_channel_from_json(c), int(k)) for c, k in header["diag_classes"]]
-        means = np.frombuffer(fh.read(16 * len(classes)), dtype="<c16")
-        cov = np.frombuffer(fh.read(16 * len(edge_keys)), dtype="<c16")
-        diag = np.frombuffer(fh.read(8 * len(diag_classes)), dtype="<f8")
+        hlen = _unpack(fh, "<Q", "header length")
+        blob = _read_exact(fh, hlen, "header")
+        try:
+            header = json.loads(blob.decode())
+            edge_keys = [_key_from_json(e) for e in header["edges"]]
+            classes = [(_channel_from_json(c), int(k)) for c, k in header["vertex_classes"]]
+            diag_classes = [(_channel_from_json(c), int(k)) for c, k in header["diag_classes"]]
+            group = SymmetryGroup(**header["group"])
+            normalized, has_norm_diag = bool(header["normalized"]), bool(header["has_norm_diag"])
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise FormatError(f"malformed table header: {exc}") from exc
+        means = np.frombuffer(_read_exact(fh, 16 * len(classes), "means"), dtype="<c16")
+        cov = np.frombuffer(_read_exact(fh, 16 * len(edge_keys), "covariances"), dtype="<c16")
+        diag = np.frombuffer(_read_exact(fh, 8 * len(diag_classes), "diagonal"), dtype="<f8")
         norm_diag = None
-        if header["has_norm_diag"]:
-            norm = np.frombuffer(fh.read(8 * len(diag_classes)), dtype="<f8")
-            norm_diag = dict(zip(diag_classes, norm.tolist()))
+        if has_norm_diag:
+            norm = _read_exact(fh, 8 * len(diag_classes), "normalization diagonal")
+            norm_diag = dict(zip(diag_classes, np.frombuffer(norm, dtype="<f8").tolist()))
+        if fh.read(1):
+            raise FormatError("trailing bytes after the table payload")
     return CovarianceTable(
         means=dict(zip(classes, means.tolist())),
         cov=dict(zip(edge_keys, cov.tolist())),
         diag=dict(zip(diag_classes, diag.tolist())),
-        group=SymmetryGroup(**header["group"]),
-        normalized=bool(header["normalized"]),
+        group=group,
+        normalized=normalized,
         norm_diag=norm_diag,
         source=header.get("source", ""),
     )
@@ -173,24 +194,30 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _object(doc, key, allowed, where):
+    """The JSON object ``doc[key]`` (empty when absent), with only ``allowed`` keys."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object")
+    _reject_unknown(value, allowed, where)
+    return value
+
+
 def parse_config(doc):
     """Validated run configuration from a parsed JSON document (fail-closed)."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
     _reject_unknown(doc, _TOP_KEYS, "configuration root")
-    model_doc = doc.get("model", {})
-    if not isinstance(model_doc, dict):
-        raise ConfigError("'model' must be an object")
-    _reject_unknown(model_doc, _MODEL_KEYS, "'model'")
-    group_doc = model_doc.get("group", {})
-    _reject_unknown(group_doc, _GROUP_KEYS, "'model.group'")
-    opt_doc = doc.get("optimizer", {})
-    _reject_unknown(opt_doc, _OPT_KEYS, "'optimizer'")
-    eval_doc = doc.get("evaluation", {})
-    _reject_unknown(eval_doc, _EVAL_KEYS, "'evaluation'")
+    model_doc = _object(doc, "model", _MODEL_KEYS, "'model'")
+    group_doc = _object(model_doc, "group", _GROUP_KEYS, "'model.group'")
+    opt_doc = _object(doc, "optimizer", _OPT_KEYS, "'optimizer'")
+    eval_doc = _object(doc, "evaluation", _EVAL_KEYS, "'evaluation'")
 
     group = SymmetryGroup(**{k: bool(v) for k, v in group_doc.items()})
-    optimizer = OptimizerSettings(**opt_doc)
+    # top-level restarts / seed override the optimizer section
+    optimizer = OptimizerSettings(
+        **{**opt_doc, **{k: doc[k] for k in ("restarts", "seed") if k in doc}}
+    ).validate()
     name = model_doc.get("name", "custom")
     fields = {k: v for k, v in model_doc.items() if k not in ("group", "name")}
     if name.upper() in ("A", "B", "C", "D"):
@@ -203,15 +230,10 @@ def parse_config(doc):
         spec.optimizer = optimizer
     else:
         spec = ModelSpec(name=name, group=group, optimizer=optimizer, **fields).validate()
-    if "restarts" in doc:
-        spec.optimizer.restarts = int(doc["restarts"])
-    if "seed" in doc:
-        spec.optimizer.seed = int(doc["seed"])
-    return {
-        "spec": spec,
-        "evaluation": dict(eval_doc),
-        "sample_count": int(doc.get("sample_count", 10)),
-    }
+    sample_count = doc.get("sample_count", 10)
+    if isinstance(sample_count, bool) or not isinstance(sample_count, int) or sample_count < 1:
+        raise ConfigError(f"sample_count must be an integer >= 1, got {sample_count!r}")
+    return {"spec": spec, "evaluation": dict(eval_doc), "sample_count": sample_count}
 
 
 def load_config(path):

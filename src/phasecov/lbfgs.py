@@ -1,9 +1,8 @@
 """Limited-memory BFGS with a strong Wolfe line search.
 
 Two-loop recursion over at most ``memory`` curvature pairs, standard
-gamma = (s.y)/(y.y) initial Hessian scaling (the un-normalized (s.y)^-1
-convention is available as ``h0_scaling="inverse_sy"``), and the
-bracket/zoom line search of the classical strong Wolfe conditions
+gamma = (s.y)/(y.y) initial Hessian scaling, and the bracket/zoom line
+search of the classical strong Wolfe conditions
 
     f(x + a d) <= f(x) + c1 a g.d      |g(x + a d).d| <= c2 |g.d|
 
@@ -118,8 +117,7 @@ def strong_wolfe(fun_grad, x, f0, g0, direction, c1=1e-4, c2=0.9, alpha0=1.0,
 
 
 def lbfgs_minimize(fun_grad, x0, memory=10, c1=1e-4, c2=0.9, gtol=1e-8,
-                   max_iter=1000, f_target=None, callback=None,
-                   h0_scaling="gamma"):
+                   max_iter=1000, f_target=None, callback=None):
     """Minimize ``fun_grad`` (returning (f, grad)) from ``x0``.
 
     Stops on gradient infinity-norm below ``gtol``, on ``f_target`` reached,
@@ -148,10 +146,7 @@ def lbfgs_minimize(fun_grad, x0, memory=10, c1=1e-4, c2=0.9, gtol=1e-8,
             q -= a * y
         if s_list:
             s, y = s_list[-1], y_list[-1]
-            if h0_scaling == "inverse_sy":
-                q *= 1.0 / _dot(s, y)
-            else:
-                q *= _dot(s, y) / _dot(y, y)
+            q *= _dot(s, y) / _dot(y, y)
         for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
             b = rho * _dot(y, q)
             q += (a - b) * s

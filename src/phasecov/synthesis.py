@@ -84,6 +84,7 @@ def value_and_grad(x, target):
     x = np.asarray(x, dtype=float)
     rows, fields = comp.harmonic_rows(x)
     centered = comp.centered_rows(rows, target.means)
+    del rows  # the centered spectra replace the spatial rows
     vals = comp.edge_values(centered)
     res = (vals - target.ref_values) / target.scales
     f = float(np.sum(np.abs(res) ** 2))

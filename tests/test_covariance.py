@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from phasecov.covariance import (
+    EdgeComputer,
     angular_fourier_reduce,
     channel_center,
+    edge_orbit_terms,
     estimate_covariance,
     estimate_mean,
     fourier_harmonic_covariance,
@@ -15,7 +17,8 @@ from phasecov.covariance import (
 from phasecov.errors import ConfigError
 from phasecov.graph import Edge, SymmetryGroup, build_foveal_edges, model_preset
 from phasecov.grid import translate, white_noise
-from phasecov.harmonics import phase_harmonic
+from phasecov.harmonics import harmonic_derivative, phase_harmonic
+from phasecov.synthesis import build_target, value_and_grad
 from phasecov.wavelets import LOWPASS, build_bump_bank, channel_fields
 
 
@@ -181,6 +184,116 @@ class TestCovariance:
         assert pair.cov[e.key()] == pytest.approx(
             np.conj(pair.cov[e_rev.key()]), rel=1e-12
         )
+
+
+def spatial_reference(comp, x, means, cot):
+    """Edge values and the gradient of sum_e 2 Re[cot_e K_e] by direct
+    np.roll correlations of every orbit term, rotations expanded."""
+    bank, group, Q, n = comp.bank, comp.group, comp.Q, x.shape[0]
+    fields = channel_fields(x, bank)
+    h = {vk: phase_harmonic(fields[vk[0]], vk[1]) - means[vk] for vk in means}
+    vals = np.zeros(len(comp.edges), dtype=complex)
+    P = {vk: np.zeros((n, n), dtype=complex) for vk in means}
+    rotate = lambda ch, eta: ch if ch == LOWPASS else (ch[0], (ch[1] + eta) % Q)
+    for i, e in enumerate(comp.edges):
+        terms = edge_orbit_terms(e.ch, e.ch2, e.du, group, Q)
+        if group.rotations and (e.ch, e.ch2) != (LOWPASS, LOWPASS):
+            terms = [(w / Q, rotate(c, eta), rotate(c2, eta), du)
+                     for (w, c, c2, du) in terms for eta in range(Q)]
+        g = cot[i] * comp.sign_factor[i]
+        for (w, c, c2, du) in terms:
+            a, b = h[(c, e.k)], h[(c2, e.k2)]
+            b_du = np.roll(b, (-du[0], -du[1]), axis=(0, 1))  # b(u + du)
+            vals[i] += w * np.mean(a * np.conj(b_du))
+            P[(c, e.k)] += w * g * np.conj(b_du) / bank.d
+            P[(c2, e.k2)] += w * np.conj(g) * np.conj(np.roll(a, du, axis=(0, 1))) / bank.d
+    total_hat = np.zeros((n, n), dtype=complex)
+    for (ch, k), p in P.items():
+        d1, d2 = harmonic_derivative(fields[ch], k)
+        total_hat += bank.filter(ch) * np.fft.ifft2(p * d1 + np.conj(p) * np.conj(d2))
+    return vals * comp.sign_factor, 2.0 * np.real(np.fft.fft2(total_hat))
+
+
+ENGINE_SPECS = {
+    "C": dict(),
+    "C-reflections-sign": dict(group=SymmetryGroup(line_reflection=True, central_reflection=True,
+                                                   sign_change=True)),
+    "D": dict(),
+}
+
+
+def engine_target(name):
+    spec = model_preset(name[0], J=3, Q=8, **ENGINE_SPECS[name])
+    rng = np.random.default_rng(40)
+    xbar = rng.standard_normal((32, 32)) * np.exp(0.5 * rng.standard_normal((32, 32)))
+    return build_target(xbar, spec)
+
+
+class TestSpectralEngine:
+    @pytest.mark.parametrize("name", sorted(ENGINE_SPECS))
+    def test_matches_spatial_reference(self, name):
+        target = engine_target(name)
+        comp = target.computer
+        kinds = {key[0] for key in comp.pair_groups}
+        fix = [g for key, g in comp.pair_groups.items() if key[0] == "fix"]
+        if name == "D":
+            assert kinds == {"fix", "rot"}
+        else:
+            # both the Parseval (zero lag only) and the lag-FFT paths run
+            assert kinds == {"fix"} and {g.shifted for g in fix} == {True, False}
+        x = white_noise(32, np.sqrt(target.sigma2), 41)
+        rows, _ = comp.harmonic_rows(x)
+        vals = comp.edge_values(comp.centered_rows(rows, target.means))
+        ref_vals, _ = spatial_reference(comp, x, target.means, np.zeros(len(comp.edges)))
+        assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
+        res = (ref_vals - target.ref_values) / target.scales
+        ref_f = float(np.sum(np.abs(res) ** 2))
+        _, ref_grad = spatial_reference(comp, x, target.means, np.conj(res) / target.scales)
+        f, grad = value_and_grad(x, target)
+        assert abs(f - ref_f) < 1e-12 * ref_f
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+    def test_low_pass_against_bands_under_rotations(self):
+        # rot groups pairing the one-slice low-pass row with a band row
+        spec = model_preset("D", J=2, Q=4)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        edges = [Edge((1, 0), 1, LOWPASS, 1, (0, 0)), Edge(LOWPASS, 0, (2, 1), 2, (0, 0)),
+                 Edge((1, 0), 2, (2, 3), 1, (0, 0)), Edge(LOWPASS, 1, LOWPASS, 1, (1, 0))]
+        comp = EdgeComputer(edges, spec, bank)
+        assert {key[0] for key in comp.pair_groups} == {"fix", "rot"}
+        x = white_noise(16, 1.0, 44)
+        rows, fields = comp.harmonic_rows(x)
+        means = comp.averaged_means(comp.raw_means(rows))
+        centered = comp.centered_rows(rows, means)
+        cot = np.random.default_rng(45).standard_normal((len(edges), 2)) @ [1, 1j]
+        ref_vals, ref_grad = spatial_reference(comp, x, means, cot)
+        vals = comp.edge_values(centered)
+        grad = comp.gradient_fields(centered, fields, cot)
+        assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("name", ["C", "D"])
+    def test_fft_calls_per_gradient(self, name, monkeypatch):
+        target = engine_target(name)
+        comp = target.computer
+        calls = []
+        for fn in ("fft2", "ifft2"):
+            orig = getattr(np.fft, fn)
+            monkeypatch.setattr(np.fft, fn, lambda *a, _f=orig, **kw: calls.append(1) or _f(*a, **kw))
+        value_and_grad(white_noise(32, 1.0, 42), target)
+        n_fix = sum(key[0] == "fix" for key in comp.pair_groups)
+        assert len(calls) <= 2 * n_fix + 2 * len(comp.rows) + 2 * len(comp.bank.channels()) + 2
+
+    def test_diagonals_match_spatial_power(self):
+        target = engine_target("C-reflections-sign")
+        comp = target.computer
+        rows, fields = comp.harmonic_rows(white_noise(32, 1.0, 43))
+        diag = comp.diagonals(comp.centered_rows(rows, target.means))
+        for (ch, k), val in diag.items():
+            orbit = [(w, c) for (w, c, _, _) in edge_orbit_terms(ch, ch, (0, 0), comp.group, comp.Q)]
+            ref = sum(w * np.mean(np.abs(phase_harmonic(fields[c], k) - target.means[(c, k)]) ** 2)
+                      for (w, c) in orbit)
+            assert val == pytest.approx(ref, rel=1e-12)
 
 
 class TestOrbitInvariance:

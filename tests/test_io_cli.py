@@ -60,6 +60,16 @@ class TestFieldFile:
         with pytest.raises(FormatError):
             pio.read_field(bad)
 
+    def test_rejects_every_truncation(self, tmp_path):
+        good = tmp_path / "good.phkf"
+        pio.write_field(good, white_noise(4, 1.0, 7) + 1j)
+        data = good.read_bytes()
+        bad = tmp_path / "bad.phkf"
+        for cut in range(len(data)):
+            bad.write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                pio.read_field(bad)
+
     @given(side=st.integers(2, 4).map(lambda p: 2 ** p),
            seed=st.integers(0, 2 ** 32))
     @settings(max_examples=10, deadline=None)
@@ -94,6 +104,40 @@ class TestTableFile:
             pio.read_table(path)
 
 
+    def _table_bytes(self, tmp_path):
+        from phasecov.covariance import normalize_correlations
+        from phasecov.graph import Edge
+        from phasecov.wavelets import LOWPASS, build_bump_bank
+
+        spec = model_preset("B", J=2, Q=4)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        edges = [Edge((1, 0), 1, (1, 1), 0, (1, 0)), Edge(LOWPASS, 1, LOWPASS, 1, (0, 0))]
+        table = normalize_correlations(estimate_covariance(white_noise(16, 1.0, 8), edges, spec, bank))
+        pio.write_table(tmp_path / "t.phkt", table)
+        return (tmp_path / "t.phkt").read_bytes()
+
+    def test_rejects_every_truncation(self, tmp_path):
+        data = self._table_bytes(tmp_path)
+        bad = tmp_path / "bad.phkt"
+        for cut in range(len(data)):
+            bad.write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                pio.read_table(bad)
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        bad = tmp_path / "bad.phkt"
+        bad.write_bytes(self._table_bytes(tmp_path) + b"\x00")
+        with pytest.raises(FormatError):
+            pio.read_table(bad)
+
+    def test_rejects_malformed_header(self, tmp_path):
+        blob = b'{"edges": 3}'
+        bad = tmp_path / "bad.phkt"
+        bad.write_bytes(b"PHKT" + (1).to_bytes(4, "little") + len(blob).to_bytes(8, "little") + blob)
+        with pytest.raises(FormatError):
+            pio.read_table(bad)
+
+
 class TestConfig:
     def test_parse_preset(self):
         cfg = pio.parse_config({"model": {"name": "B", "J": 3, "Q": 8}})
@@ -126,6 +170,35 @@ class TestConfig:
         cfg = pio.parse_config({"model": {"name": "B"}, "seed": 11, "restarts": 3})
         assert cfg["spec"].optimizer.seed == 11
         assert cfg["spec"].optimizer.restarts == 3
+
+
+    @pytest.mark.parametrize("doc", [
+        {"restarts": "x"},
+        {"seed": "abc"},
+        {"seed": -1},
+        {"restarts": 0},
+        {"optimizer": {"max_iter": -3, "memory": 0}},
+        {"optimizer": {"max_iter": "many"}},
+        {"optimizer": {"max_iter": 2.5}},
+        {"optimizer": {"memory": True}},
+        {"optimizer": {"c1": 0.9, "c2": 0.1}},
+        {"optimizer": {"c1": 0.0}},
+        {"optimizer": {"c2": 1.0}},
+        {"optimizer": {"gtol": -1e-8}},
+        {"optimizer": {"gtol": float("inf")}},
+        {"optimizer": {"eps_ratio": float("nan")}},
+        {"optimizer": {"eps_ratio": "0"}},
+        {"optimizer": []},
+        {"sample_count": "x"},
+    ])
+    def test_rejects_bad_optimizer_settings(self, doc):
+        with pytest.raises(ConfigError):
+            pio.parse_config({"model": {"name": "B"}, **doc})
+
+    def test_zero_tolerances_accepted(self):
+        cfg = pio.parse_config({"model": {"name": "B"}, "optimizer": {"gtol": 0, "eps_ratio": 0.0}})
+        assert cfg["spec"].optimizer.gtol == 0
+        assert cfg["spec"].optimizer.eps_ratio == 0.0
 
 
 class TestPgm:
@@ -211,6 +284,17 @@ class TestCli:
     def test_bad_input_file_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})
         assert main(["cov", str(tmp_path / "missing.phkf"), "--config", cfg]) == 4
+
+    def test_bad_config_value_exit_code(self, tmp_path):
+        path, _ = self._field(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B"}, "restarts": "x"})
+        assert main(["cov", str(path), "--config", cfg]) == 2
+
+    def test_truncated_field_header_exit_code(self, tmp_path):
+        path, _ = self._field(tmp_path)
+        path.write_bytes(path.read_bytes()[:10])
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})
+        assert main(["cov", str(path), "--config", cfg]) == 4
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         path, _ = self._field(tmp_path)
