@@ -76,7 +76,8 @@ class OptimizerSettings:
                 raise ConfigError(f"optimizer {name} must be an integer >= {low}, got {value!r}")
         for name in ("c1", "c2", "gtol", "eps_ratio"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not -np.inf < value < np.inf):
                 raise ConfigError(f"optimizer {name} must be a finite number, got {value!r}")
         if not 0 < self.c1 < self.c2 < 1:
             raise ConfigError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")

@@ -184,6 +184,7 @@ class TestConfig:
         {"optimizer": {"c1": 0.9, "c2": 0.1}},
         {"optimizer": {"c1": 0.0}},
         {"optimizer": {"c2": 1.0}},
+        {"optimizer": {"c1": 10 ** 400}},
         {"optimizer": {"gtol": -1e-8}},
         {"optimizer": {"gtol": float("inf")}},
         {"optimizer": {"eps_ratio": float("nan")}},
