@@ -90,8 +90,6 @@ def cmd_synth(args):
         for i, s in enumerate(samples):
             pio.write_field(out / f"sample_{i:03d}.phkf", s)
         pio.write_field(out / "spectrum.phkf", state.spectrum)
-        rows = [(i, 0, 0.0) for i in range(count)]
-        pio.write_csv(out / "losses.csv", ["restart", "iterations", "loss"], rows)
         sys.stdout.write(
             f"model A: dual constraint error {state.constraint_error:.3e}, "
             f"{count} samples\n"

@@ -5,10 +5,17 @@ h_{c,k}(w) = [x * psi_c (w)]^k: the mean over all d translations of the
 coefficient at a vertex equals the spatial mean of h, and the covariance of
 an edge equals the spatial cross-correlation of the centered fields at the
 edge's pixel lag.  This makes the tables exactly invariant under any integer
-translation of the input.  The correlations are taken in the Fourier domain
-(see :class:`EdgeComputer`): each harmonic slice is transformed once, a
-zero-lag covariance follows from Parseval's identity, and the lags of a slice
-pair from one FFT of its cross-spectrum.
+translation of the input.
+
+Every correlation is read off the spectra of centered harmonic rows.  A row
+stacks the harmonic fields of one scale's Q angles (or of the low-pass
+alone) at one exponent k; a slice is one angle of it.  Two primitives
+remain, on spectra scaled by 1/d (:func:`centered_spectra`):
+:func:`lag_correlations`, one FFT of the cross-spectrum A conj(B) of two
+slices for all their lags, and :func:`zero_lag_gram`, the angular Gram
+matrix A B^H of two rows at lag zero (Parseval's identity).
+:class:`EdgeComputer` and :func:`gaussianity_report` use both;
+:mod:`phasecov.evaluation` reads its lag maps the same way.
 
 Further group flags act by channel relabeling (never by image resampling):
 rotations shift the angular index of both vertices (valid for edges at a
@@ -44,29 +51,62 @@ class CovarianceTable:
         return self.cov[edge.key()]
 
 
-def _band_row(channel):
-    """Stack row of a channel: bands group by scale, the low-pass is its own row."""
-    return LOWPASS if channel == LOWPASS else channel[0]
+def slice_of(ch, k):
+    """Row (row, k) and angle index of the slice holding harmonic (ch, k):
+    bands group by scale, the low-pass is a one-slice row."""
+    return ((LOWPASS, k), 0) if ch == LOWPASS else ((ch[0], k), ch[1])
 
 
-def _row_channel(row, ell):
-    return LOWPASS if row == LOWPASS else (row, ell)
+def row_channels(row, Q):
+    """Channels stacked in a row, in slice order."""
+    return [LOWPASS] if row == LOWPASS else [(row, ell) for ell in range(Q)]
+
+
+def harmonic_stack(chans, row, k, Q):
+    """Harmonic fields [chans[ch]]^k of a row's channels, stacked (slices, N, N)."""
+    return np.stack([phase_harmonic(chans[ch], k) for ch in row_channels(row, Q)])
+
+
+def centered_spectra(h, means=None):
+    """Spectra fft2(h - mean) / d of each slice of a stacked row, centered on
+    ``means`` (by default each slice's own spatial mean).  With the 1/d,
+    Parseval reads (1/d) sum_u a(u) conj(b(u)) = sum_w A(w) conj(B(w))."""
+    if means is None:
+        means = h.mean(axis=(1, 2))
+    return np.fft.fft2(h - np.asarray(means)[:, None, None], norm="forward")
+
+
+def lag_correlations(a, b):
+    """(1/d) sum_u a(u) conj(b(u + du)) at every lag du, from the spectra of
+    centered slices (``b`` may stack several): one FFT of the cross-spectrum."""
+    return np.fft.fft2(a * np.conj(b))
+
+
+def zero_lag_gram(a, b):
+    """Lag-zero correlations of every slice of row ``a`` with every slice of
+    row ``b``, from their spectra by Parseval: the Gram matrix A B^H."""
+    return a.reshape(len(a), -1) @ np.conj(b.reshape(len(b), -1)).T
+
+
+def slice_power(s):
+    """Mean |h|^2 of each centered slice of a row, from its spectra (Parseval)."""
+    return np.sum(np.abs(s) ** 2, axis=(1, 2))
+
+
+def _rotate(ch, eta, Q):
+    return ch if ch == LOWPASS else (ch[0], (ch[1] + eta) % Q)
 
 
 def _reflect_channel(ch, Q):
     return ch if ch == LOWPASS else (ch[0], (-ch[1]) % Q)
 
 
-def _central_channel(ch, Q):
-    return ch if ch == LOWPASS else (ch[0], (ch[1] + Q // 2) % Q)
-
-
 def edge_orbit_terms(ch, ch2, du, group, Q):
     """Concrete correlation terms (weight, ch, ch2, du) averaged for an edge.
 
-    Rotations are not expanded here; they are applied as an angular-axis
-    average inside the correlation engine.  The sign change is a scalar
-    factor handled by the caller.
+    Rotations are not expanded here (:class:`EdgeComputer` expands them into
+    the Q angular relabelings).  The sign change is a scalar factor handled
+    by the caller.
     """
     terms = [(1.0, ch, ch2, du)]
     if group.line_reflection:
@@ -76,28 +116,33 @@ def edge_orbit_terms(ch, ch2, du, group, Q):
     if group.central_reflection:
         terms = [t for (w, c, c2, u) in terms for t in (
             (w / 2, c, c2, u),
-            (w / 2, _central_channel(c, Q), _central_channel(c2, Q), (-u[0], -u[1])))]
+            (w / 2, _rotate(c, Q // 2, Q), _rotate(c2, Q // 2, Q), (-u[0], -u[1])))]
     return terms
 
 
 class EdgeComputer:
     """Precomputed machinery to evaluate a fixed edge set on varying fields.
 
-    Harmonic fields are stacked by row: (row, k) -> (Q, N, N) for a scale,
-    (1, N, N) for the low-pass.  The orbit terms of every edge are grouped
-    by the slice pair they correlate.
+    Harmonic fields are stacked by row, (row, k) -> (Q, N, N) for a scale and
+    (1, N, N) for the low-pass, and every slice of every row is transformed
+    once per field (:meth:`centered_rows`).  The orbit terms of all edges,
+    each rotation-averaged term expanded into its Q angular relabelings at
+    weight w/Q, are sorted by the slice pair they correlate and read with
+    the two primitives:
 
-    A "fix" group correlates two slices at fixed pixel lags, in the Fourier
-    domain.  The slices some fix group uses are transformed once per field,
-    one stacked ``fft2`` per row, and their spectra A, B stand in for the
-    centered slices.  A group with only the zero lag reads its value off the
-    spectra by Parseval, vdot(B, A) / d^2; a group with lags takes one FFT of
-    its cross-spectrum A conj(B).  The gradient adds B conj(G) and A G, G the
-    FFT of the group's cotangent lag grid, to Fourier accumulators of the
-    slices and takes one inverse FFT per row.
+    * a slice pair with some non-zero lag forms a "fix" group, keyed
+      ("fix", row_a, row_b, ell_a, ell_b): one FFT of its cross-spectrum
+      A conj(B) holds all its lags;
+    * the slice pairs of two rows with only the zero lag form one "gram"
+      group, keyed ("gram", row_a, row_b): the Gram matrix A B^H holds all
+      of them.
 
-    A "rot" group (rotation averaging) correlates two whole rows at a
-    relative angle, in space; rows only rot groups use stay spatial.
+    A group stores its members' edge indices, weights and the positions they
+    read in that map: lags (mod side) for a fix group, angle pairs for a gram
+    group.  The gradient adds B conj(G) and A G, G the FFT of a fix group's
+    cotangent lag grid, or conj(Gc) B and Gc^T A, Gc a gram group's grid of
+    summed cotangents per angle pair, to Fourier accumulators of the rows,
+    and takes one inverse FFT per row.
     """
 
     def __init__(self, edges, spec, bank):
@@ -113,50 +158,47 @@ class EdgeComputer:
         self.bank = bank
         self.group = spec.group
         self.Q = spec.Q
-        self.d = bank.d
         self.rows = list(dict.fromkeys(
-            (_band_row(c), k) for e in self.edges for (c, k) in ((e.ch, e.k), (e.ch2, e.k2))))
+            slice_of(c, k)[0] for e in self.edges for (c, k) in ((e.ch, e.k), (e.ch2, e.k2))))
         self.sign_factor = np.array(
             [0.0 if self.group.sign_change and (e.k + e.k2) % 2 == 1 else 1.0 for e in self.edges])
         self._index_terms()
-        # slices each row transforms, and where each sits in the row's spectra
-        used = {}
-        for key in self.pair_groups:
-            if key[0] == "fix":
-                for (ch, k) in key[1:]:
-                    used.setdefault((_band_row(ch), k), set()).add(0 if ch == LOWPASS else ch[1])
-        self.fix_ells = {rk: sorted(ells) for rk, ells in used.items()}
-        self.slot = {
-            (_row_channel(rk[0], ell), rk[1]): (rk, i)
-            for rk, ells in self.fix_ells.items() for i, ell in enumerate(ells)
-        }
-        self.rot_rows = {rk for key in self.pair_groups if key[0] == "rot" for rk in key[1:3]}
 
     def _index_terms(self):
-        """Group the orbit terms of all edges by the slice pair they correlate."""
-        groups = {}  # key -> list of (edge_idx, weight, du)
+        """Group the orbit terms of all edges by the slice pair they correlate;
+        a rotation-averaged term expands into its Q relabelings at weight w/Q.
+        Relabelings keep a lag non-zero, so the lagged slice pairs come from the
+        shifted edges.  Flat lists, not one object per term, keep set-up memory flat."""
+        Q, n, group = self.Q, self.bank.side, self.group
+        shifted = {(e.ch, e.k, e.ch2, e.k2) for e in self.edges if e.du != (0, 0)}
+        lagged = {(slice_of(c, k), slice_of(c2, k2)) for (ch, k, ch2, k2) in shifted
+                  for (_, c, c2, _) in edge_orbit_terms(ch, ch2, (0, 0), group, Q)}
+        groups = {}  # key -> flat runs of (edge index, weight, position, position)
         for idx, e in enumerate(self.edges):
-            for (w, c, c2, du) in edge_orbit_terms(e.ch, e.ch2, e.du, self.group, self.Q):
-                if self.group.rotations and (c != LOWPASS or c2 != LOWPASS):
-                    if du != (0, 0):
-                        raise ConfigError("rotation averaging needs edges at a single position")
-                    dl = 0 if LOWPASS in (c, c2) else (c2[1] - c[1]) % self.Q
-                    key = ("rot", (_band_row(c), e.k), (_band_row(c2), e.k2), dl)
-                else:
-                    key = ("fix", (c, e.k), (c2, e.k2))
-                groups.setdefault(key, []).append((idx, w, du))
+            turns = Q if group.rotations and (e.ch, e.ch2) != (LOWPASS, LOWPASS) else 1
+            if turns > 1 and e.du != (0, 0):
+                raise ConfigError("rotation averaging needs edges at a single position")
+            for (w, c, c2, du) in edge_orbit_terms(e.ch, e.ch2, e.du, group, Q):
+                w = w / turns
+                for eta in range(turns):
+                    if eta:
+                        c, c2 = _rotate(c, 1, Q), _rotate(c2, 1, Q)
+                    a, b = slice_of(c, e.k), slice_of(c2, e.k2)
+                    if (a, b) in lagged:
+                        groups.setdefault(("fix", a[0], b[0], a[1], b[1]), []).extend(
+                            (idx, w, du[0] % n, du[1] % n))
+                    else:
+                        groups.setdefault(("gram", a[0], b[0]), []).extend((idx, w, a[1], b[1]))
         self.pair_groups = {}
-        for key, members in groups.items():
-            idx, w, du = zip(*members)
-            lag = tuple(np.array(du).T % self.bank.side)
-            self.pair_groups[key] = _Group(np.array(idx), np.array(w), lag,
-                                           bool(lag[0].any() or lag[1].any()))
+        for key, flat in groups.items():
+            idx, w, p, q = np.array(flat).reshape(-1, 4).T
+            self.pair_groups[key] = _Group(idx.astype(int), w, (p.astype(int), q.astype(int)))
 
     def _orbit(self, ch):
         """Weighted images of a channel under the group's channel relabelings."""
         terms = [(w, c) for (w, c, _, _) in edge_orbit_terms(ch, ch, (0, 0), self.group, self.Q)]
         if self.group.rotations and ch != LOWPASS:
-            terms = [(w / self.Q, (c[0], (c[1] + eta) % self.Q))
+            terms = [(w / self.Q, _rotate(c, eta, self.Q))
                      for (w, c) in terms for eta in range(self.Q)]
         return terms
 
@@ -165,19 +207,13 @@ class EdgeComputer:
     def harmonic_rows(self, x):
         """Stacked harmonic fields per row: (Q, N, N) for scales, (1, N, N) for low."""
         fields = channel_fields(x, self.bank)
-        out = {}
-        for (row, k) in self.rows:
-            width = 1 if row == LOWPASS else self.Q
-            out[(row, k)] = np.stack(
-                [phase_harmonic(fields[_row_channel(row, ell)], k) for ell in range(width)]
-            )
-        return out, fields
+        return {(row, k): harmonic_stack(fields, row, k, self.Q) for (row, k) in self.rows}, fields
 
     def raw_means(self, rows):
         means = {}
         for (row, k), h in rows.items():
-            for ell, m in enumerate(h.mean(axis=(1, 2))):
-                means[(_row_channel(row, ell), k)] = complex(m)
+            for ch, m in zip(row_channels(row, self.Q), h.mean(axis=(1, 2))):
+                means[(ch, k)] = complex(m)
         return means
 
     def averaged_means(self, raw):
@@ -193,53 +229,25 @@ class EdgeComputer:
         return out
 
     def centered_rows(self, rows, means):
-        """Centered rows as (spatial, spectra).
+        """Spectra of the centered rows: (row, k) -> fft2 of every slice."""
+        return {(row, k): centered_spectra(h, [means[(ch, k)] for ch in row_channels(row, self.Q)])
+                for (row, k), h in rows.items()}
 
-        ``spatial`` keeps the rows rot groups use; ``spectra[(row, k)]`` holds
-        the fft2 of the centered slices ``fix_ells[(row, k)]``, in that order.
-        """
-        spatial, spectra = {}, {}
-        for (row, k), h in rows.items():
-            offs = np.array([means[(_row_channel(row, ell), k)] for ell in range(len(h))])
-            offs = offs[:, None, None]
-            if (row, k) in self.rot_rows:
-                spatial[(row, k)] = h - offs
-            ells = self.fix_ells.get((row, k))
-            if ells is not None:
-                spectra[(row, k)] = np.fft.fft2(h[ells] - offs[ells])
-        return spatial, spectra
-
-    def edge_values(self, centered):
+    def edge_values(self, spectra):
         """All edge covariances from :meth:`centered_rows` output."""
-        spatial, spectra = centered
-        d2 = self.d * self.d
         vals = np.zeros(len(self.edges), dtype=complex)
         for key, g in self.pair_groups.items():
-            if key[0] == "rot":
-                _, row1, row2, dl = key
-                # a low-pass row broadcasts against the band angles
-                t = np.mean(spatial[row1] * np.conj(np.roll(spatial[row2], -dl, axis=0)))
-            else:
-                (ra, ia), (rb, ib) = self.slot[key[1]], self.slot[key[2]]
-                a, b = spectra[ra][ia], spectra[rb][ib]
-                if g.shifted:
-                    t = np.fft.fft2(a * np.conj(b))[g.lag] / d2
-                else:
-                    t = np.vdot(b, a) / d2
-            np.add.at(vals, g.idx, g.w * t)
+            a, b = spectra[key[1]], spectra[key[2]]
+            t = zero_lag_gram(a, b) if key[0] == "gram" else lag_correlations(a[key[3]], b[key[4]])
+            np.add.at(vals, g.idx, g.w * t[g.pos])
         return vals * self.sign_factor
 
-    def diagonals(self, centered):
+    def diagonals(self, spectra):
         """Own-diagonal K(v, v) per vertex class (group averaged)."""
-        spatial, spectra = centered
         power = {}
-        for (row, k), h in spatial.items():
-            for ell, p in enumerate(np.mean(np.abs(h) ** 2, axis=(1, 2))):
-                power[(_row_channel(row, ell), k)] = float(p)
-        for (row, k), s in spectra.items():  # Parseval
-            p = np.sum(np.abs(s) ** 2, axis=(1, 2)) / (self.d * self.d)
-            for ell, pe in zip(self.fix_ells[(row, k)], p):
-                power[(_row_channel(row, ell), k)] = float(pe)
+        for (row, k), s in spectra.items():
+            for ch, p in zip(row_channels(row, self.Q), slice_power(s)):
+                power[(ch, k)] = float(p)
         diag = {}
         for e in self.edges:
             for (ch, k) in ((e.ch, e.k), (e.ch2, e.k2)):
@@ -248,55 +256,38 @@ class EdgeComputer:
 
     # ----- objective support ----------------------------------------------
 
-    def gradient_fields(self, centered, fields, cot):
+    def gradient_fields(self, spectra, fields, cot):
         """Real gradient of sum_e 2*Re[cot_e * dK_e] through the harmonics.
 
         ``cot`` holds per-edge Wirtinger cotangents dF/dK(e).  With g(du) a
         fix group's cotangent grid, the slices gain
         P_a(w) = (1/d) sum_du g(du) conj(b(w+du)) and
         P_b(w) = (1/d) sum_du conj(g(du)) conj(a(w-du)),
-        accumulated as B conj(G) and A G and inverted once per row.
+        accumulated as B conj(G) and A G and inverted once per row.  A gram
+        group's angle-pair grid Gc adds conj(Gc) B and Gc^T A to whole rows.
         """
-        spatial, spectra = centered
         n = self.bank.side
-        P = {rk: np.zeros_like(h) for rk, h in spatial.items()}
         acc = {rk: np.zeros_like(s) for rk, s in spectra.items()}
         cot = cot * self.sign_factor
         for key, g in self.pair_groups.items():
-            c = cot[g.idx] * g.w
-            if key[0] == "rot":
-                _, row1, row2, dl = key
-                # T = mean(h1 * conj(h2 rolled)) over the Q*d broadcast entries
-                scale = c.sum() / (self.d * self.Q)
-                if scale == 0.0:
-                    continue
-                h1, h2 = spatial[row1], spatial[row2]
-                P[row1] += _fold_angles(scale * np.conj(np.roll(h2, -dl, axis=0)), len(h1))
-                P[row2] += _fold_angles(np.conj(scale) * np.conj(np.roll(h1, dl, axis=0)), len(h2))
+            a, b = spectra[key[1]], spectra[key[2]]
+            gram = key[0] == "gram"
+            grid = np.zeros((len(a), len(b)) if gram else (n, n), dtype=complex)
+            np.add.at(grid, g.pos, cot[g.idx] * g.w)
+            if gram:
+                acc[key[1]] += (np.conj(grid) @ b.reshape(len(b), -1)).reshape(a.shape)
+                acc[key[2]] += (grid.T @ a.reshape(len(a), -1)).reshape(b.shape)
             else:
-                (ra, ia), (rb, ib) = self.slot[key[1]], self.slot[key[2]]
-                if g.shifted:
-                    grid = np.zeros((n, n), dtype=complex)
-                    np.add.at(grid, g.lag, c)
-                    ghat = np.fft.fft2(grid)
-                else:
-                    ghat = c.sum()  # the FFT of a zero-lag grid is constant
-                acc[ra][ia] += spectra[rb][ib] * np.conj(ghat)
-                acc[rb][ib] += spectra[ra][ia] * ghat
-        per_slice = {}
-        for (row, k), p in P.items():
-            for ell in range(len(p)):
-                per_slice[(_row_channel(row, ell), k)] = p[ell]
-        for (row, k) in list(acc):
-            p = np.conj(np.fft.ifft2(acc.pop((row, k)))) / self.d
-            for ell, pe in zip(self.fix_ells[(row, k)], p):
-                key = (_row_channel(row, ell), k)
-                per_slice[key] = per_slice[key] + pe if key in per_slice else pe
+                ghat = np.fft.fft2(grid)
+                acc[key[1]][key[3]] += b[key[4]] * np.conj(ghat)
+                acc[key[2]][key[4]] += a[key[3]] * ghat
         # chain through the phase harmonic and back through the filters
         per_channel = {}
-        for (ch, k), p in per_slice.items():
-            d1, d2 = harmonic_derivative(fields[ch], k)
-            per_channel[ch] = per_channel.get(ch, 0) + (p * d1 + np.conj(p) * np.conj(d2))
+        for (row, k) in list(acc):
+            p = np.conj(np.fft.ifft2(acc.pop((row, k))))
+            for ch, pe in zip(row_channels(row, self.Q), p):
+                d1, d2 = harmonic_derivative(fields[ch], k)
+                per_channel[ch] = per_channel.get(ch, 0) + (pe * d1 + np.conj(pe) * np.conj(d2))
         total_hat = np.zeros((n, n), dtype=complex)
         for ch, g in per_channel.items():
             total_hat += self.bank.filter(ch) * np.fft.ifft2(g)
@@ -304,17 +295,12 @@ class EdgeComputer:
 
 
 class _Group(NamedTuple):
-    """Members of one pair group: edge indices, weights and lags (mod side)."""
+    """Members of one pair group: edge indices, weights, and the position
+    each reads in the group's map (a lag mod side, or an angle pair)."""
 
     idx: np.ndarray
     w: np.ndarray
-    lag: tuple
-    shifted: bool            # some member has a non-zero lag
-
-
-def _fold_angles(v, width):
-    """Sum the angle axis of ``v`` when it accumulates into a one-slice row."""
-    return v.sum(axis=0, keepdims=True) if width < len(v) else v
+    pos: tuple
 
 
 def estimate_mean(x, spec, bank, edges=None):
@@ -546,49 +532,48 @@ def sparsity_ratios(fields_list, bank):
     return {c: (sums1[c] / count) ** 2 / (sums2[c] / count) for c in sums1}
 
 
-def gaussianity_report(fields, bank, threshold=0.05, k_pairs=((2, -1),)):
+def gaussianity_report(fields, bank, threshold=0.05):
     """Gaussianity diagnostics of one or more realizations.
 
     Per band channel: the sparsity ratio with a flag when it falls below
     pi/4 - threshold.  Per disjoint-support channel pair aligned so that
-    k*lambda = k'*lambda': the normalized harmonic covariance, with a
-    cross-realization standard error when several fields are given.  The
-    default pair family is (k, k') = (2, -1) on (j, ell) against
-    (j-1, ell + Q/2): frequency-aligned since 2*2^-j = 2^-(j-1) with the
-    direction flipped by k' = -1, and with disjoint angular half-planes.
-    Opposite-angle pairs at equal k are never used: those channels are
-    complex conjugates of each other, not independent evidence.
+    k*lambda = k'*lambda': the normalized zero-lag harmonic covariance, with
+    a cross-realization standard error when several fields are given.  The
+    pairs are (k, k') = (2, -1) on (j, ell) against (j-1, ell + Q/2):
+    frequency-aligned since 2*2^-j = 2^-(j-1) with the direction flipped by
+    k' = -1, and with disjoint angular half-planes.  Opposite-angle pairs at
+    equal k are never used: those channels are complex conjugates of each
+    other, not independent evidence.  Each scale's values are read off one
+    Gram matrix of the rows (j, 2) and (j-1, -1).
     """
     fields = [fields] if isinstance(fields, np.ndarray) else list(fields)
     ratios = sparsity_ratios(fields, bank)
     flags = {c: r < np.pi / 4 - threshold for c, r in ratios.items()}
+    Q = bank.Q
+    partner = (np.arange(Q) + Q // 2) % Q
+    vals = {}
+    for j in range(2, bank.J + 1):
+        for ell in range(Q):
+            f1 = bank.filter((j, ell))
+            f2 = bank.filter((j - 1, partner[ell]))
+            # pairs whose supports overlap are skipped: the test does not apply
+            if np.max(np.abs(f1 * f2)) <= 1e-12 * np.max(np.abs(f1)) * np.max(np.abs(f2)):
+                vals[(j, ell)] = []
+    for x in fields:
+        chans = channel_fields(x, bank)
+        for j in sorted({j for (j, _) in vals}):
+            a = centered_spectra(harmonic_stack(chans, j, 2, Q))
+            b = centered_spectra(harmonic_stack(chans, j - 1, -1, Q))
+            aligned = zero_lag_gram(a, b)[np.arange(Q), partner]
+            denom = np.sqrt(slice_power(a) * slice_power(b)[partner])
+            for ell in range(Q):
+                if (j, ell) in vals and denom[ell] != 0:
+                    vals[(j, ell)].append(complex(aligned[ell] / denom[ell]))
     cross = []
-    specs = []
-    for (k, k2) in k_pairs:
-        if (k, k2) == (2, -1):
-            specs += [((j, ell), 2, (j - 1, (ell + bank.Q // 2) % bank.Q), -1)
-                      for j in range(2, bank.J + 1) for ell in range(bank.Q)]
-    for (c1, k1, c2, k2) in specs:
-        f1 = bank.filter(c1)
-        f2 = bank.filter(c2)
-        if np.max(np.abs(f1 * f2)) > 1e-12 * np.max(np.abs(f1)) * np.max(np.abs(f2)):
-            continue  # supports overlap; the test does not apply
-        vals = []
-        for x in fields:
-            fs = channel_fields(x, bank, channels=[c1, c2])
-            h1 = phase_harmonic(fs[c1], k1)
-            h2 = phase_harmonic(fs[c2], k2)
-            h1 = h1 - h1.mean()
-            h2 = h2 - h2.mean()
-            denom = np.sqrt(np.mean(np.abs(h1) ** 2) * np.mean(np.abs(h2) ** 2))
-            if denom == 0:
-                continue
-            vals.append(complex(np.mean(h1 * np.conj(h2)) / denom))
-        if not vals:
-            continue
-        mean = np.mean(vals)
-        se = (np.std(vals) / np.sqrt(len(vals))) if len(vals) > 1 else None
-        cross.append(((c1, k1, c2, k2), complex(mean), se))
+    for (j, ell), v in vals.items():
+        if v:
+            se = (np.std(v) / np.sqrt(len(v))) if len(v) > 1 else None
+            cross.append((((j, ell), 2, (j - 1, int(partner[ell])), -1), complex(np.mean(v)), se))
     return GaussianityReport(
         ratios=ratios, flags=flags, cross=cross, threshold=threshold, n_fields=len(fields)
     )

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .covariance import centered_spectra, lag_correlations, row_channels, slice_of
 from .errors import ConfigError, NumericalError
 from .harmonics import phase_harmonic
 from .wavelets import LOWPASS, channel_fields
@@ -51,6 +52,15 @@ class EvalWindow:
         return len(self.vertices(J, Q))
 
 
+def _row_spectra(x, bank, rows):
+    """Spectra of one field's harmonic rows, each slice centered on its own mean."""
+    Q = bank.Q
+    chans = channel_fields(x, bank, list(dict.fromkeys(
+        ch for (row, _) in rows for ch in row_channels(row, Q))))
+    return [centered_spectra(np.stack([phase_harmonic(chans[ch], k)
+                                       for ch in row_channels(row, Q)])) for (row, k) in rows]
+
+
 def correlation_matrix(fields, bank, window, ref_diag=None):
     """Windowed correlation matrix averaged over one or more realizations.
 
@@ -58,42 +68,34 @@ def correlation_matrix(fields, bank, window, ref_diag=None):
     vertices and the diagonal D used to normalize (the average covariance
     diagonal unless ``ref_diag`` is supplied).  Estimation is the
     translation-orbit average per realization, then the ensemble mean.
+    The vertices of one slice against those of a row are gathered, by one
+    fancy index, from the lag correlations of that slice with every slice
+    of the row; blocks below the row diagonal are conjugate transposes.
     """
     fields = [fields] if isinstance(fields, np.ndarray) else list(fields)
     verts = window.vertices(bank.J, bank.Q)
-    nv = len(verts)
-    classes = sorted({(v[0], v[1]) for v in verts}, key=str)
-    d = bank.d
-    K = np.zeros((nv, nv), dtype=complex)
-    means_acc = {c: 0.0 + 0j for c in classes}
-    # per-realization centered harmonic fields, correlation via FFT lag maps
-    lag_maps = {}
-    for x in fields:
-        chans = channel_fields(x, bank)
-        h = {}
-        for (ch, k) in classes:
-            arr = phase_harmonic(chans[ch], k)
-            m = arr.mean()
-            means_acc[(ch, k)] += m / len(fields)
-            h[(ch, k)] = np.fft.fft2(arr - m)
-        for ia, ca in enumerate(classes):
-            for ib in range(ia, len(classes)):
-                cb = classes[ib]
-                lm = np.fft.fft2(h[ca] * np.conj(h[cb])) / (d * d)
-                key = (ca, cb)
-                lag_maps[key] = lag_maps.get(key, 0) + lm / len(fields)
     n = bank.side
-    for i, (ch, k, u) in enumerate(verts):
-        for jv in range(i, nv):
-            ch2, k2, u2 = verts[jv]
-            ca, cb = (ch, k), (ch2, k2)
-            du = (u2[0] - u[0], u2[1] - u[1])
-            if (ca, cb) in lag_maps:
-                val = lag_maps[(ca, cb)][du[0] % n, du[1] % n]
-            else:
-                val = np.conj(lag_maps[(cb, ca)][(-du[0]) % n, (-du[1]) % n])
-            K[i, jv] = val
-            K[jv, i] = np.conj(val)
+    where = [slice_of(ch, k) for (ch, k, _) in verts]
+    rows = list(dict.fromkeys(rk for (rk, _) in where))
+    row = np.array([rows.index(rk) for (rk, _) in where])
+    ell = np.array([e for (_, e) in where])
+    u = np.array([v[2] for v in verts])
+    members = [np.flatnonzero(row == r) for r in range(len(rows))]
+    K = np.zeros((len(verts), len(verts)), dtype=complex)
+    for x in fields:
+        spectra = _row_spectra(x, bank, rows)
+        for ia, va_row in enumerate(members):
+            for ib in range(ia, len(rows)):
+                vb = members[ib]
+                for s, a in enumerate(spectra[ia]):
+                    va = va_row[ell[va_row] == s]
+                    maps = lag_correlations(a, spectra[ib])
+                    du = (u[vb][None, :] - u[va][:, None]) % n
+                    block = maps[ell[vb][None, :], du[..., 0], du[..., 1]]
+                    K[np.ix_(va, vb)] += block / len(fields)
+    for ia, va in enumerate(members):
+        for vb in members[ia + 1:]:
+            K[np.ix_(vb, va)] = np.conj(K[np.ix_(va, vb)]).T
     if ref_diag is None:
         D = np.real(np.diag(K)).copy()
     else:
@@ -101,7 +103,9 @@ def correlation_matrix(fields, bank, window, ref_diag=None):
     if np.any(D <= 0):
         raise ConfigError("degenerate diagonal in the evaluation window")
     scale = 1.0 / np.sqrt(D)
-    return scale[:, None] * K * scale[None, :], D
+    K *= scale[:, None]  # in place: K is the largest array here
+    K *= scale[None, :]
+    return K, D
 
 
 def operator_norm(matrix, tol=1e-6, max_iter=10000, seed=0):
@@ -137,7 +141,7 @@ def correlation_error(C_ref, C_test, tol=1e-6):
     return operator_norm(C_ref - C_test, tol=tol) / denom
 
 
-def long_range_profile(fields, bank, k, j, a_max, ref_diag=None):
+def long_range_profile(fields, bank, k, j, a_max):
     """Max normalized correlation |C(v, v')| at distances |u-u'| = 2^j a.
 
     Same-channel, same-k correlations; the maximum runs over the Q angles
@@ -148,17 +152,12 @@ def long_range_profile(fields, bank, k, j, a_max, ref_diag=None):
     n = bank.side
     if 2 ** j * a_max >= n // 2:
         raise ConfigError("profile distance beyond the grid half-period")
-    d = bank.d
-    maps = []
-    for ell in range(bank.Q):
-        acc = 0.0
-        for x in fields:
-            y = channel_fields(x, bank, channels=[(j, ell)])[(j, ell)]
-            h = phase_harmonic(y, k)
-            h = h - h.mean()
-            acc = acc + np.fft.fft2(np.fft.fft2(h) * np.conj(np.fft.fft2(h))) / (d * d)
-        acc /= len(fields)
-        maps.append(np.real_if_close(acc))
+    maps = 0.0
+    for x in fields:
+        (s,) = _row_spectra(x, bank, [(j, k)])
+        maps = maps + lag_correlations(s, s)
+    maps /= len(fields)
+    diag = np.real(maps[:, 0, 0])
     m = np.fft.fftfreq(n) * n
     m1, m2 = np.meshgrid(m, m, indexing="ij")
     dist = np.hypot(m1, m2)
@@ -171,12 +170,7 @@ def long_range_profile(fields, bank, k, j, a_max, ref_diag=None):
         if not ring.any():
             out[a] = np.nan
             continue
-        best = 0.0
-        for ell, lm in enumerate(maps):
-            diag = float(np.real(lm[0, 0]))
-            vals = np.abs(lm[ring]) / diag
-            best = max(best, float(vals.max()))
-        out[a] = best
+        out[a] = float(np.max(np.abs(maps[:, ring]) / diag[:, None]))
     return out
 
 

@@ -56,6 +56,13 @@ class Edge:
         return (self.ch, self.k, self.ch2, self.k2, self.du)
 
 
+def _require_int(what, value, low=None):
+    """ConfigError unless ``value`` is an int (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
+
+
 @dataclass
 class OptimizerSettings:
     max_iter: int = 5000
@@ -71,9 +78,7 @@ class OptimizerSettings:
         """Type and range checks: integer counts >= 1, a seed >= 0,
         0 < c1 < c2 < 1 and finite gtol, eps_ratio >= 0."""
         for name, low in (("max_iter", 1), ("memory", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigError(f"optimizer {name} must be an integer >= {low}, got {value!r}")
+            _require_int(f"optimizer {name}", getattr(self, name), low)
         for name in ("c1", "c2", "gtol", "eps_ratio"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -114,17 +119,27 @@ class ModelSpec:
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
 
     def validate(self):
+        """Type and range checks: a string name, J and Q integers >= 1,
+        integer exponents with k_min <= 1 <= k_max, integer neighbourhoods
+        >= 0 with delta_ell <= Q/2, and boolean group flags."""
+        if not isinstance(self.name, str):
+            raise ConfigError(f"model name must be a string, got {self.name!r}")
+        for name, low in (("J", 1), ("Q", 1), ("k_min", None), ("k_max", None),
+                          ("delta_n", 0), ("delta_j", 0), ("delta_ell", 0)):
+            _require_int(f"model {name}", getattr(self, name), low)
+        for name, flag in self.group.to_dict().items():
+            if not isinstance(flag, bool):
+                raise ConfigError(f"group flag {name} must be true or false, got {flag!r}")
         if self.k_min > 1 or self.k_max < 1:
             raise ConfigError(f"need k_min <= 1 <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.delta_ell > self.Q // 2:
             raise ConfigError(f"delta_ell={self.delta_ell} exceeds Q/2={self.Q // 2}")
-        if self.delta_n < 0 or self.delta_j < 0 or self.delta_ell < 0:
-            raise ConfigError("neighbourhood parameters must be >= 0")
         return self
 
 
 def model_preset(name, J=5, Q=16, **overrides):
     """Named presets of the reference model families."""
+    _require_int("model Q", Q, 1)  # the presets derive delta_ell from Q
     name = name.upper()
     if name == "A":
         # radius-3 window: 81 channels x 29 offsets reproduces |E|/d = 3.6e-2

@@ -15,6 +15,7 @@ anywhere are rejected.
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -185,7 +186,7 @@ _GROUP_KEYS = {"rotations", "line_reflection", "sign_change", "central_reflectio
 _MODEL_KEYS = {"name", "J", "Q", "k_min", "k_max", "delta_n", "delta_j", "delta_ell", "group"}
 _OPT_KEYS = {"max_iter", "memory", "c1", "c2", "gtol", "eps_ratio", "restarts", "seed"}
 _EVAL_KEYS = {"k_lo", "k_hi", "delta_n", "a_max", "j_list", "q_list"}
-_TOP_KEYS = {"model", "optimizer", "evaluation", "seed", "restarts", "sample_count"}
+_TOP_KEYS = {"model", "optimizer", "evaluation", "seed", "restarts"}
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -213,14 +214,14 @@ def parse_config(doc):
     opt_doc = _object(doc, "optimizer", _OPT_KEYS, "'optimizer'")
     eval_doc = _object(doc, "evaluation", _EVAL_KEYS, "'evaluation'")
 
-    group = SymmetryGroup(**{k: bool(v) for k, v in group_doc.items()})
+    group = SymmetryGroup(**group_doc)
     # top-level restarts / seed override the optimizer section
     optimizer = OptimizerSettings(
         **{**opt_doc, **{k: doc[k] for k in ("restarts", "seed") if k in doc}}
     ).validate()
     name = model_doc.get("name", "custom")
     fields = {k: v for k, v in model_doc.items() if k not in ("group", "name")}
-    if name.upper() in ("A", "B", "C", "D"):
+    if isinstance(name, str) and name.upper() in ("A", "B", "C", "D"):
         from .graph import model_preset
 
         overrides = dict(fields)
@@ -230,10 +231,7 @@ def parse_config(doc):
         spec.optimizer = optimizer
     else:
         spec = ModelSpec(name=name, group=group, optimizer=optimizer, **fields).validate()
-    sample_count = doc.get("sample_count", 10)
-    if isinstance(sample_count, bool) or not isinstance(sample_count, int) or sample_count < 1:
-        raise ConfigError(f"sample_count must be an integer >= 1, got {sample_count!r}")
-    return {"spec": spec, "evaluation": dict(eval_doc), "sample_count": sample_count}
+    return {"spec": spec, "evaluation": dict(eval_doc)}
 
 
 def load_config(path):
@@ -288,20 +286,28 @@ def export_pgm(field, path):
 
 
 def import_pgm(path):
-    """Invert :func:`export_pgm` using the sidecar (16-bit quantized)."""
+    """Invert :func:`export_pgm` using the sidecar (16-bit quantized).  The four
+    header tokens end with one whitespace byte; exactly w*h*2 payload bytes follow."""
     with open(path, "rb") as fh:
         data = fh.read()
-    parts = data.split(maxsplit=4)
-    if parts[0] != b"P5":
+    header = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
+    if header is None:
         raise FormatError("not a binary PGM file")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
+    w, h, maxval = (int(t) for t in header.groups())
     if maxval != 65535:
         raise FormatError("expected a 16-bit PGM")
-    payload = parts[4]
-    raw = np.frombuffer(payload[: w * h * 2], dtype=">u2").reshape(h, w)
-    with open(str(path) + ".json") as fh:
-        side = json.load(fh)
-    lo, hi = side["min"], side["max"]
+    payload = data[header.end():]
+    if len(payload) != w * h * 2:
+        raise FormatError(f"PGM payload length {len(payload)} != expected {w * h * 2}")
+    raw = np.frombuffer(payload, dtype=">u2").reshape(h, w)
+    try:
+        with open(str(path) + ".json") as fh:
+            side = json.load(fh)
+        lo, hi = side["min"], side["max"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"missing or malformed PGM sidecar: {exc!r}") from exc
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in (lo, hi)) or lo > hi:
+        raise FormatError(f"PGM sidecar needs finite min <= max, got {lo!r}, {hi!r}")
     if hi > lo:
         return lo + raw.astype(float) / 65535.0 * (hi - lo)
     return np.full((h, w), lo)

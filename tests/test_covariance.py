@@ -235,12 +235,11 @@ class TestSpectralEngine:
         target = engine_target(name)
         comp = target.computer
         kinds = {key[0] for key in comp.pair_groups}
-        fix = [g for key, g in comp.pair_groups.items() if key[0] == "fix"]
         if name == "D":
-            assert kinds == {"fix", "rot"}
+            assert kinds == {"gram"}
         else:
-            # both the Parseval (zero lag only) and the lag-FFT paths run
-            assert kinds == {"fix"} and {g.shifted for g in fix} == {True, False}
+            # both the Gram (zero lag only) and the lag-FFT paths run
+            assert kinds == {"fix", "gram"}
         x = white_noise(32, np.sqrt(target.sigma2), 41)
         rows, _ = comp.harmonic_rows(x)
         vals = comp.edge_values(comp.centered_rows(rows, target.means))
@@ -254,13 +253,13 @@ class TestSpectralEngine:
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
 
     def test_low_pass_against_bands_under_rotations(self):
-        # rot groups pairing the one-slice low-pass row with a band row
+        # rotation-averaged terms pairing the one-slice low-pass row with a band row
         spec = model_preset("D", J=2, Q=4)
         bank = build_bump_bank(16, spec.J, spec.Q)
         edges = [Edge((1, 0), 1, LOWPASS, 1, (0, 0)), Edge(LOWPASS, 0, (2, 1), 2, (0, 0)),
                  Edge((1, 0), 2, (2, 3), 1, (0, 0)), Edge(LOWPASS, 1, LOWPASS, 1, (1, 0))]
         comp = EdgeComputer(edges, spec, bank)
-        assert {key[0] for key in comp.pair_groups} == {"fix", "rot"}
+        assert {key[0] for key in comp.pair_groups} == {"fix", "gram"}
         x = white_noise(16, 1.0, 44)
         rows, fields = comp.harmonic_rows(x)
         means = comp.averaged_means(comp.raw_means(rows))
@@ -575,6 +574,24 @@ class TestGaussianity:
         for (_desc, val, se) in report.cross:
             assert se is not None
             assert abs(val) < 5 * se + 1e-3
+
+    def test_cross_values_match_direct_formula(self):
+        bank = build_bump_bank(32, 3, 8)
+        rng = np.random.default_rng(17)
+        fields = [rng.standard_normal((32, 32)) * np.exp(rng.standard_normal((32, 32)))
+                  for _ in range(3)]
+        report = gaussianity_report(fields, bank)
+        assert report.cross
+        for ((c1, k1, c2, k2), val, se) in report.cross:
+            direct = []
+            for x in fields:
+                fs = channel_fields(x, bank)
+                h1 = phase_harmonic(fs[c1], k1) - phase_harmonic(fs[c1], k1).mean()
+                h2 = phase_harmonic(fs[c2], k2) - phase_harmonic(fs[c2], k2).mean()
+                direct.append(np.mean(h1 * np.conj(h2))
+                              / np.sqrt(np.mean(np.abs(h1) ** 2) * np.mean(np.abs(h2) ** 2)))
+            assert abs(val - np.mean(direct)) < 1e-12
+            assert se == pytest.approx(np.std(direct) / np.sqrt(len(direct)), abs=1e-12)
 
     def test_spectral_overlap_sparsity(self):
         # |K| decays below 1% of the diagonal scale for pairs violating the

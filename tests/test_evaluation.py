@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phasecov.covariance import estimate_covariance
 from phasecov.errors import ConfigError
 from phasecov.evaluation import (
     EvalWindow,
@@ -12,6 +13,7 @@ from phasecov.evaluation import (
     structure_error,
     structure_function,
 )
+from phasecov.graph import Edge, model_preset
 from phasecov.grid import white_noise
 from phasecov.wavelets import build_bump_bank
 
@@ -98,6 +100,24 @@ class TestCorrelationError:
     def test_diagonal_is_unit(self):
         c_ref, *_ = self._matrices()
         assert np.allclose(np.diag(c_ref).real, 1.0, atol=1e-10)
+
+    def test_entries_match_translation_only_covariances(self):
+        side = 16
+        bank = build_bump_bank(side, 2, 4)
+        spec = model_preset("B", J=2, Q=4)  # translations only
+        window = EvalWindow(k_lo=0, k_hi=2, delta_n=1)
+        verts = window.vertices(2, 4)
+        x = correlated_field(side, 5) * np.exp(correlated_field(side, 6, slope=1.5))
+        C, D = correlation_matrix(x, bank, window)
+        K = C * np.sqrt(np.outer(D, D))
+        pairs = [(i, j) for i in range(len(verts)) for j in range(len(verts))]
+        edges = [Edge(verts[i][0], verts[i][1], verts[j][0], verts[j][1],
+                      (verts[j][2][0] - verts[i][2][0], verts[j][2][1] - verts[i][2][1]))
+                 for (i, j) in pairs]
+        table = estimate_covariance(x, edges, spec, bank)
+        want = np.array([table.cov[e.key()] for e in edges])
+        got = np.array([K[i, j] for (i, j) in pairs])
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 class TestLongRangeProfile:

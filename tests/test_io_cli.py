@@ -196,6 +196,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             pio.parse_config({"model": {"name": "B"}, **doc})
 
+    @pytest.mark.parametrize("model", [
+        {"name": "B", "J": "x"},
+        {"name": "B", "J": 3.5},
+        {"name": "B", "Q": 0},
+        {"name": "B", "k_max": 2.0},
+        {"name": "B", "delta_n": "2"},
+        {"name": "B", "delta_j": -1},
+        {"name": "B", "group": {"rotations": "false"}},
+        {"name": "custom", "group": {"sign_change": 1}},
+        {"name": 3},
+    ])
+    def test_rejects_bad_model_section(self, model):
+        with pytest.raises(ConfigError):
+            pio.parse_config({"model": model})
+
     def test_zero_tolerances_accepted(self):
         cfg = pio.parse_config({"model": {"name": "B"}, "optimizer": {"gtol": 0, "eps_ratio": 0.0}})
         assert cfg["spec"].optimizer.gtol == 0
@@ -228,6 +243,36 @@ class TestPgm:
         assert data.startswith(header)
         assert len(data) == len(header) + 131072
         assert len(header.split()) == 4  # magic, width, height, maxval
+
+    def test_payload_starting_with_whitespace_bytes(self, tmp_path):
+        # the first pixel scales to 0x2020 and the second to 0x0a0a: both
+        # whitespace byte pairs that a token split would strip
+        x = np.zeros((4, 4))
+        x[0, 0], x[0, 1], x[3, 3] = 0x2020, 0x0A0A, 65535.0
+        path = tmp_path / "w.pgm"
+        pio.export_pgm(x, path)
+        assert path.read_bytes().startswith(b"P5\n4 4\n65535\n\x20\x20\x0a\x0a")
+        assert np.array_equal(pio.import_pgm(path), x)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "t.pgm"
+        pio.export_pgm(white_noise(8, 1.0, 9), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FormatError):
+            pio.import_pgm(path)
+
+    @pytest.mark.parametrize("sidecar", [None, "{", '{"min": 0.0}', "[1, 2]",
+                                         '{"min": 1.0, "max": "2"}'])
+    def test_missing_or_malformed_sidecar_rejected(self, tmp_path, sidecar):
+        path = tmp_path / "s.pgm"
+        pio.export_pgm(white_noise(8, 1.0, 10), path)
+        side = tmp_path / "s.pgm.json"
+        if sidecar is None:
+            side.unlink()
+        else:
+            side.write_text(sidecar)
+        with pytest.raises(FormatError):
+            pio.import_pgm(path)
 
 
 class TestCsv:
@@ -297,6 +342,14 @@ class TestCli:
         cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})
         assert main(["cov", str(path), "--config", cfg]) == 4
 
+    @pytest.mark.parametrize("model", [
+        {"J": "x"}, {"J": 3.5}, {"delta_n": "2"}, {"group": {"rotations": "false"}},
+    ])
+    def test_bad_model_section_exit_code(self, tmp_path, model):
+        path, _ = self._field(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", **model}})
+        assert main(["cov", str(path), "--config", cfg]) == 2
+
     def test_unknown_config_key_exit_code(self, tmp_path):
         path, _ = self._field(tmp_path)
         cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B"}, "oops": 1})
@@ -363,6 +416,7 @@ class TestCli:
                      "--restarts", "2"]) == 0
         assert (out / "sample_000.phkf").exists()
         assert (out / "spectrum.phkf").exists()
+        assert not (out / "losses.csv").exists()  # no optimizer ran
 
     def test_gauss_fit_and_sample(self, tmp_path):
         path, _ = self._field(tmp_path, side=16, seed=4)
