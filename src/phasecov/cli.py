@@ -136,6 +136,9 @@ def cmd_gauss_fit(args):
     )
     if not state.feasible:
         raise NumericalError("fitted dual state is infeasible")
+    if not state.converged:
+        raise NumericalError(
+            f"Gaussian dual fit did not converge (constraint error {state.constraint_error:.3e})")
 
 
 def cmd_gauss_sample(args):

@@ -9,13 +9,15 @@ translation of the input.
 
 Every correlation is read off the spectra of centered harmonic rows.  A row
 stacks the harmonic fields of one scale's Q angles (or of the low-pass
-alone) at one exponent k; a slice is one angle of it.  Two primitives
-remain, on spectra scaled by 1/d (:func:`centered_spectra`):
+alone) at one exponent k; a slice is one angle of it.  Three primitives
+work on spectra scaled by 1/d (:func:`centered_spectra`):
 :func:`lag_correlations`, one FFT of the cross-spectrum A conj(B) of two
-slices for all their lags, and :func:`zero_lag_gram`, the angular Gram
-matrix A B^H of two rows at lag zero (Parseval's identity).
-:class:`EdgeComputer` and :func:`gaussianity_report` use both;
-:mod:`phasecov.evaluation` reads its lag maps the same way.
+slices for all their lags; :class:`LagWindow`, the same correlations on a
+box t1 x t2 of lags only, by two small DFT products E1^T (A conj(B)) E2;
+and :func:`zero_lag_gram`, the angular Gram matrix A B^H of two rows at
+lag zero (Parseval's identity).  :class:`EdgeComputer` uses the last two,
+:func:`gaussianity_report` the Gram matrix, and :mod:`phasecov.evaluation`
+reads its lag maps with :func:`lag_correlations`.
 
 Further group flags act by channel relabeling (never by image resampling):
 rotations shift the angular index of both vertices (valid for edges at a
@@ -82,6 +84,51 @@ def lag_correlations(a, b):
     return np.fft.fft2(a * np.conj(b))
 
 
+def lag_dft(t, n):
+    """The (n, len(t)) matrix exp(-2 pi i w t / n) of one axis: E^T X reads
+    the lags ``t`` (mod n) of a spectrum axis, E G puts a lag grid on it."""
+    return np.exp(-2j * np.pi * (np.outer(np.arange(n), t) % n) / n)
+
+
+class LagWindow:
+    """Reads the lag box t1 x t2 (mod n) of cross-spectra by two small DFT
+    products, E1^T X E2 with E = :func:`lag_dft`, not by an FFT of the plane.
+
+    exp(-2 pi i w t / n) has period n/g in w when g divides n and every lag
+    t, so with g = gcd(n, t1) the box reads a spectrum only through its sums
+    over the g aliases (w1 mod n/g) of the first axis, and the spectra of lag
+    grids on the box repeat with that period.  Folding that axis, a sum of
+    contiguous blocks, cuts the DFT products of a box at stride s by s; a
+    zero-lag box reduces to a plain sum (Parseval).
+    """
+
+    def __init__(self, t1, t2, n):
+        self.g = int(np.gcd.reduce(np.append(np.asarray(t1, dtype=int), n)))
+        self.e1 = lag_dft(t1, n)[: n // self.g]
+        self.e2 = lag_dft(t2, n)
+
+    def tiles(self, x):
+        """View of a (..., n, n) array as its (..., g, n/g, n) periods."""
+        return x.reshape(x.shape[:-2] + (self.g, len(self.e1), x.shape[-1]))
+
+    def correlations(self, x):
+        """:func:`lag_correlations` of stacked cross-spectra ``x`` (m, n, n)
+        on the box only: (m, L1, L2)."""
+        if self.g > 1:
+            x = self.tiles(x).sum(axis=1)
+        m, n1, n = x.shape
+        y = (x.reshape(m * n1, n) @ self.e2).reshape(m, n1, -1)
+        return np.matmul(self.e1.T, y)
+
+    def spectra(self, grid):
+        """One period (m, n/g, n) of the spectra E1 grid E2^T of lag grids
+        (m, L1, L2) on the box, which broadcasts over :meth:`tiles`: fft2 of
+        each grid put on the whole lag plane."""
+        m, _, l2 = grid.shape
+        n1, n = self.e1.shape[0], self.e2.shape[0]
+        return (np.matmul(self.e1, grid).reshape(m * n1, l2) @ self.e2.T).reshape(m, n1, n)
+
+
 def zero_lag_gram(a, b):
     """Lag-zero correlations of every slice of row ``a`` with every slice of
     row ``b``, from their spectra by Parseval: the Gram matrix A B^H."""
@@ -127,22 +174,28 @@ class EdgeComputer:
     (1, N, N) for the low-pass, and every slice of every row is transformed
     once per field (:meth:`centered_rows`).  The orbit terms of all edges,
     each rotation-averaged term expanded into its Q angular relabelings at
-    weight w/Q, are sorted by the slice pair they correlate and read with
-    the two primitives:
+    weight w/Q, are sorted by the row pair they correlate:
 
-    * a slice pair with some non-zero lag forms a "fix" group, keyed
-      ("fix", row_a, row_b, ell_a, ell_b): one FFT of its cross-spectrum
-      A conj(B) holds all its lags;
-    * the slice pairs of two rows with only the zero lag form one "gram"
-      group, keyed ("gram", row_a, row_b): the Gram matrix A B^H holds all
-      of them.
+    * a row pair whose terms all sit at lag zero and cover every angle pair
+      of the two rows (model D's rotation averages) forms a "gram" group,
+      keyed ("gram", row_a, row_b): the Gram matrix A B^H holds all of them;
+    * any other row pair, a sparse zero-lag one included, forms a "fix"
+      group, keyed ("fix", row_a, row_b).  It stores the lag box t1 x t2
+      (the distinct lag components on each axis, mod side: {0} x {0} for a
+      zero-lag row pair) as a :class:`LagWindow`, which builds the DFT
+      matrices E1 = E(t1) and E2 = E(t2) once, and its slice pairs split
+      into layers, one per angular offset, in which each slice of either
+      row occurs at most once.  A layer's cross-spectra X = A[sa] conj(B[sb])
+      give the box by two small products, E1^T X E2, so no temporary
+      exceeds one row and no lag plane is transformed.
 
     A group stores its members' edge indices, weights and the positions they
-    read in that map: lags (mod side) for a fix group, angle pairs for a gram
-    group.  The gradient adds B conj(G) and A G, G the FFT of a fix group's
-    cotangent lag grid, or conj(Gc) B and Gc^T A, Gc a gram group's grid of
-    summed cotangents per angle pair, to Fourier accumulators of the rows,
-    and takes one inverse FFT per row.
+    read in its map: (slice pair, lag index, lag index) for a fix group, an
+    angle pair for a gram group.  The gradient scatters the cotangents onto
+    that map.  A fix layer's grids become spectra G = E1 grid E2^T and add
+    B conj(G) and A G to Fourier accumulators of the rows; a gram group's
+    grid Gc adds conj(Gc) B and Gc^T A to whole rows.  Each row then takes
+    one inverse FFT.
     """
 
     def __init__(self, edges, spec, bank):
@@ -165,15 +218,13 @@ class EdgeComputer:
         self._index_terms()
 
     def _index_terms(self):
-        """Group the orbit terms of all edges by the slice pair they correlate;
+        """Group the orbit terms of all edges by the row pair they correlate;
         a rotation-averaged term expands into its Q relabelings at weight w/Q.
-        Relabelings keep a lag non-zero, so the lagged slice pairs come from the
-        shifted edges.  Flat lists, not one object per term, keep set-up memory flat."""
+        A row pair whose terms all sit at lag zero and cover every angle pair
+        forms a gram group, any other row pair a fix group.  Flat lists, not
+        one object per term, keep set-up memory flat."""
         Q, n, group = self.Q, self.bank.side, self.group
-        shifted = {(e.ch, e.k, e.ch2, e.k2) for e in self.edges if e.du != (0, 0)}
-        lagged = {(slice_of(c, k), slice_of(c2, k2)) for (ch, k, ch2, k2) in shifted
-                  for (_, c, c2, _) in edge_orbit_terms(ch, ch2, (0, 0), group, Q)}
-        groups = {}  # key -> flat runs of (edge index, weight, position, position)
+        terms = {}  # (row_a, row_b) -> flat runs of (edge index, weight, sa, sb, t1, t2)
         for idx, e in enumerate(self.edges):
             turns = Q if group.rotations and (e.ch, e.ch2) != (LOWPASS, LOWPASS) else 1
             if turns > 1 and e.du != (0, 0):
@@ -184,15 +235,17 @@ class EdgeComputer:
                     if eta:
                         c, c2 = _rotate(c, 1, Q), _rotate(c2, 1, Q)
                     a, b = slice_of(c, e.k), slice_of(c2, e.k2)
-                    if (a, b) in lagged:
-                        groups.setdefault(("fix", a[0], b[0], a[1], b[1]), []).extend(
-                            (idx, w, du[0] % n, du[1] % n))
-                    else:
-                        groups.setdefault(("gram", a[0], b[0]), []).extend((idx, w, a[1], b[1]))
+                    terms.setdefault((a[0], b[0]), []).extend(
+                        (idx, w, a[1], b[1], du[0] % n, du[1] % n))
         self.pair_groups = {}
-        for key, flat in groups.items():
-            idx, w, p, q = np.array(flat).reshape(-1, 4).T
-            self.pair_groups[key] = _Group(idx.astype(int), w, (p.astype(int), q.astype(int)))
+        for (ra, rb), flat in terms.items():
+            t = np.array(flat).reshape(-1, 6)
+            sa, sb = t[:, 2].astype(int), t[:, 3].astype(int)
+            shape = (len(row_channels(ra[0], Q)), len(row_channels(rb[0], Q)))
+            if not t[:, 4:].any() and len(np.unique(sa * shape[1] + sb)) == shape[0] * shape[1]:
+                self.pair_groups[("gram", ra, rb)] = _Group(t[:, 0].astype(int), t[:, 1], (sa, sb), shape)
+            else:
+                self.pair_groups[("fix", ra, rb)] = _window_group(t, n, Q)
 
     def _orbit(self, ch):
         """Weighted images of a channel under the group's channel relabelings."""
@@ -238,7 +291,11 @@ class EdgeComputer:
         vals = np.zeros(len(self.edges), dtype=complex)
         for key, g in self.pair_groups.items():
             a, b = spectra[key[1]], spectra[key[2]]
-            t = zero_lag_gram(a, b) if key[0] == "gram" else lag_correlations(a[key[3]], b[key[4]])
+            if key[0] == "gram":
+                t = zero_lag_gram(a, b)
+            else:
+                t = np.concatenate([g.window.correlations(_cross_spectra(a, b, layer))
+                                    for layer in g.layers])
             np.add.at(vals, g.idx, g.w * t[g.pos])
         return vals * self.sign_factor
 
@@ -259,28 +316,34 @@ class EdgeComputer:
     def gradient_fields(self, spectra, fields, cot):
         """Real gradient of sum_e 2*Re[cot_e * dK_e] through the harmonics.
 
-        ``cot`` holds per-edge Wirtinger cotangents dF/dK(e).  With g(du) a
-        fix group's cotangent grid, the slices gain
+        ``cot`` holds per-edge Wirtinger cotangents dF/dK(e).  With g(du) the
+        cotangent lag grid of a fix group's slice pair, the slices gain
         P_a(w) = (1/d) sum_du g(du) conj(b(w+du)) and
         P_b(w) = (1/d) sum_du conj(g(du)) conj(a(w-du)),
-        accumulated as B conj(G) and A G and inverted once per row.  A gram
-        group's angle-pair grid Gc adds conj(Gc) B and Gc^T A to whole rows.
+        accumulated as B conj(G) and A G, G = E1 g E2^T, and inverted once per
+        row.  A gram group's angle-pair grid Gc adds conj(Gc) B and Gc^T A to
+        whole rows.
         """
         n = self.bank.side
         acc = {rk: np.zeros_like(s) for rk, s in spectra.items()}
         cot = cot * self.sign_factor
         for key, g in self.pair_groups.items():
             a, b = spectra[key[1]], spectra[key[2]]
-            gram = key[0] == "gram"
-            grid = np.zeros((len(a), len(b)) if gram else (n, n), dtype=complex)
+            grid = np.zeros(g.shape, dtype=complex)
             np.add.at(grid, g.pos, cot[g.idx] * g.w)
-            if gram:
+            if key[0] == "gram":
                 acc[key[1]] += (np.conj(grid) @ b.reshape(len(b), -1)).reshape(a.shape)
                 acc[key[2]] += (grid.T @ a.reshape(len(a), -1)).reshape(b.shape)
-            else:
-                ghat = np.fft.fft2(grid)
-                acc[key[1]][key[3]] += b[key[4]] * np.conj(ghat)
-                acc[key[2]][key[4]] += a[key[3]] * ghat
+                continue
+            win, start = g.window, 0
+            for layer in g.layers:
+                ghat = win.spectra(grid[start:start + len(layer)])
+                start += len(layer)
+                for (p, q), gh in zip(layer, ghat):
+                    acc_b = win.tiles(acc[key[2]][q])
+                    acc_b += win.tiles(a[p]) * gh
+                    acc_a = win.tiles(acc[key[1]][p])
+                    acc_a += win.tiles(b[q]) * np.conj(gh)
         # chain through the phase harmonic and back through the filters
         per_channel = {}
         for (row, k) in list(acc):
@@ -295,12 +358,44 @@ class EdgeComputer:
 
 
 class _Group(NamedTuple):
-    """Members of one pair group: edge indices, weights, and the position
-    each reads in the group's map (a lag mod side, or an angle pair)."""
+    """Members of one pair group: edge indices, weights, the position each
+    reads in the group's map and the map's shape.  A fix group's map stacks
+    the lag boxes of its slice pairs, layer by layer; ``layers`` lists the
+    slice pairs (sa, sb) of each layer and ``window`` reads the lag box."""
 
     idx: np.ndarray
     w: np.ndarray
     pos: tuple
+    shape: tuple
+    layers: list = ()
+    window: LagWindow = None
+
+
+def _cross_spectra(a, b, layer):
+    """Cross-spectra a[p] conj(b[q]) of a layer's slice pairs (p, q), stacked."""
+    x = np.empty((len(layer),) + a.shape[1:], dtype=complex)
+    for xi, (p, q) in zip(x, layer):
+        np.conjugate(b[q], out=xi)
+        xi *= a[p]
+    return x
+
+
+def _window_group(t, n, Q):
+    """Fix group of one row pair from its terms, rows of (edge index, weight,
+    sa, sb, t1, t2): the lag box and its window, and the slice pairs in
+    layers, one per angular offset (sb - sa) mod Q.  A slice of either row
+    occurs at most once in a layer, also when one row is the low-pass."""
+    t1, i1 = np.unique(t[:, 4].astype(int), return_inverse=True)
+    t2, i2 = np.unique(t[:, 5].astype(int), return_inverse=True)
+    sa, sb = t[:, 2].astype(int), t[:, 3].astype(int)
+    codes, stacked = np.unique((sb - sa) % Q * Q + sa, return_inverse=True)
+    offset, pa = np.divmod(codes, Q)
+    pb = (pa + offset) % Q
+    cuts = np.flatnonzero(np.diff(offset)) + 1
+    layers = [list(zip(la.tolist(), lb.tolist()))
+              for la, lb in zip(np.split(pa, cuts), np.split(pb, cuts))]
+    return _Group(t[:, 0].astype(int), t[:, 1], (stacked, i1, i2),
+                  (len(codes), len(t1), len(t2)), layers, LagWindow(t1, t2, n))
 
 
 def estimate_mean(x, spec, bank, edges=None):

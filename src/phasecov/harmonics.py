@@ -14,18 +14,22 @@ import numpy as np
 from .errors import ConfigError
 
 
-def unit_phase_power(z, k):
-    """(z/|z|)^k by binary powering, with phi(0) = 0 (unit value at z = 0).
+def unit_phase(z):
+    """z/|z| elementwise, with phi(0) = 0 (unit value at z = 0)."""
+    z = np.asarray(z, dtype=complex)
+    r = np.abs(z)
+    return np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0 + 0j)
+
+
+def phasor_power(u, k):
+    """u^k of a unit phasor by binary powering (conj(u)^|k| for k < 0).
 
     Exact products keep the map bit-equivariant under sign flips and
     conjugation, which the optimizer equivariance guarantees rely on.
     """
-    z = np.asarray(z, dtype=complex)
     k = int(k)
     if k == 0:
-        return np.ones_like(z)
-    r = np.abs(z)
-    u = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0 + 0j)
+        return np.ones_like(u)
     if k < 0:
         u = np.conj(u)
         k = -k
@@ -50,7 +54,7 @@ def phase_harmonic(z, k):
         return np.conj(z)
     if k == 0:
         return np.abs(z).astype(complex)
-    return np.abs(z) * unit_phase_power(z, k)
+    return np.abs(z) * phasor_power(unit_phase(z), k)
 
 
 def harmonic_derivative(z, k):
@@ -59,13 +63,17 @@ def harmonic_derivative(z, k):
     d[z]^k/dz  = ((k+1)/2) e^{i(k-1) phi(z)}
     d[z]^k/dz* = ((1-k)/2) e^{i(k+1) phi(z)}
 
-    At z = 0 the same formulas are applied with phi = 0.
+    At z = 0 the same formulas are applied with phi = 0.  Both powers come
+    from one unit phasor.  At k = +-1 the pair is (1, 0) or (0, 1): the
+    power whose coefficient vanishes is not computed.
     """
     z = np.asarray(z, dtype=complex)
     k = int(k)
-    dz = 0.5 * (k + 1) * unit_phase_power(z, k - 1)
-    dzbar = 0.5 * (1 - k) * unit_phase_power(z, k + 1)
-    return dz, dzbar
+    if abs(k) == 1:
+        one, zero = np.ones_like(z), np.zeros_like(z)
+        return (one, zero) if k == 1 else (zero, one)
+    u = unit_phase(z)
+    return 0.5 * (k + 1) * phasor_power(u, k - 1), 0.5 * (1 - k) * phasor_power(u, k + 1)
 
 
 @dataclass

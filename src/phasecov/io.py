@@ -82,7 +82,10 @@ def read_field(path):
     expected = math.prod(dims) * (8 if tag == 0 else 16)
     if len(payload) != expected:
         raise FormatError(f"payload length {len(payload)} != expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    field = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    if not np.isfinite(field).all():
+        raise FormatError(f"{path}: field holds NaN or infinite values")
+    return field
 
 
 # ----- covariance table files -----------------------------------------------

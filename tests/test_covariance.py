@@ -5,11 +5,15 @@ from phasecov.covariance import (
     EdgeComputer,
     angular_fourier_reduce,
     channel_center,
+    centered_spectra,
     edge_orbit_terms,
     estimate_covariance,
     estimate_mean,
     fourier_harmonic_covariance,
     gaussianity_report,
+    LagWindow,
+    harmonic_stack,
+    lag_correlations,
     normalize_correlations,
     sparsity_ratios,
     support_constant,
@@ -238,8 +242,8 @@ class TestSpectralEngine:
         if name == "D":
             assert kinds == {"gram"}
         else:
-            # both the Gram (zero lag only) and the lag-FFT paths run
-            assert kinds == {"fix", "gram"}
+            # lagged and sparse zero-lag row pairs alike read lag windows
+            assert kinds == {"fix"}
         x = white_noise(32, np.sqrt(target.sigma2), 41)
         rows, _ = comp.harmonic_rows(x)
         vals = comp.edge_values(comp.centered_rows(rows, target.means))
@@ -265,6 +269,57 @@ class TestSpectralEngine:
         means = comp.averaged_means(comp.raw_means(rows))
         centered = comp.centered_rows(rows, means)
         cot = np.random.default_rng(45).standard_normal((len(edges), 2)) @ [1, 1j]
+        ref_vals, ref_grad = spatial_reference(comp, x, means, cot)
+        vals = comp.edge_values(centered)
+        grad = comp.gradient_fields(centered, fields, cot)
+        assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("row_a, row_b, t1, t2", [
+        ((1, 1), (1, 2), [0, 1, 8, 13], [15, 9, 0]),   # lags at and past side/2
+        ((2, 1), (2, 1), [0, 4, 12], [0, 2, 14]),       # strided: four aliases
+        ((LOWPASS, 1), (LOWPASS, 0), [8], [0, 7]),      # one-slice low-pass rows
+        ((1, 0), (2, 2), [0], [0]),                     # zero-lag box
+    ])
+    def test_window_matches_lag_correlations(self, row_a, row_b, t1, t2):
+        n, Q = 16, 4
+        bank = build_bump_bank(n, 2, Q)
+        chans = channel_fields(white_noise(n, 1.0, 46), bank)
+        a = centered_spectra(harmonic_stack(chans, row_a[0], row_a[1], Q))
+        b = centered_spectra(harmonic_stack(chans, row_b[0], row_b[1], Q))
+        window = LagWindow(t1, t2, n)
+        full = lag_correlations(a, b)
+        box = window.correlations(a * np.conj(b))
+        assert np.max(np.abs(box - full[:, t1][:, :, t2])) < 1e-13 * np.max(np.abs(full))
+        # a lag grid on the box has the spectra of the grid put on the whole plane
+        grid = np.random.default_rng(47).standard_normal((len(a), len(t1), len(t2), 2)) @ [1, 1j]
+        plane = np.zeros((len(a), n, n), dtype=complex)
+        plane[:, np.array(t1)[:, None], t2] = grid
+        period = window.spectra(grid)[:, None]  # broadcast over the aliases
+        ref = window.tiles(np.fft.fft2(plane))
+        assert np.max(np.abs(period - ref)) < 1e-13 * np.max(np.abs(ref))
+
+    def test_layers_and_sparse_zero_lag_against_spatial_reference(self):
+        spec = model_preset("B", J=2, Q=4)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        edges = [Edge((1, 0), 1, (1, 0), 1, (2, 1)), Edge((1, 0), 1, (1, 1), 1, (-1, 3)),
+                 Edge((1, 0), 1, (1, 2), 1, (9, 0)), Edge((1, 2), 1, (1, 1), 1, (0, 0)),
+                 Edge((1, 3), 1, (1, 0), 1, (2, 1)),
+                 # sparse zero-lag row pair: 2 of its 16 angle pairs
+                 Edge((1, 0), 0, (2, 0), 2, (0, 0)), Edge((1, 2), 0, (2, 2), 2, (0, 0)),
+                 Edge(LOWPASS, 1, LOWPASS, 1, (8, -9))]
+        comp = EdgeComputer(edges, spec, bank)
+        assert {key[0] for key in comp.pair_groups} == {"fix"}
+        lagged = comp.pair_groups[("fix", (1, 1), (1, 1))]
+        assert len(lagged.layers) >= 3  # slice 0 pairs with three partners
+        for layer in lagged.layers:
+            assert len({p for p, _ in layer}) == len({q for _, q in layer}) == len(layer)
+        assert comp.pair_groups[("fix", (1, 0), (2, 2))].shape == (2, 1, 1)
+        x = white_noise(16, 1.0, 48)
+        rows, fields = comp.harmonic_rows(x)
+        means = comp.averaged_means(comp.raw_means(rows))
+        centered = comp.centered_rows(rows, means)
+        cot = np.random.default_rng(49).standard_normal((len(edges), 2)) @ [1, 1j]
         ref_vals, ref_grad = spatial_reference(comp, x, means, cot)
         vals = comp.edge_values(centered)
         grad = comp.gradient_fields(centered, fields, cot)

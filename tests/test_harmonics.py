@@ -201,6 +201,33 @@ class TestHarmonicDerivative:
         assert dz == pytest.approx(2.0)
         assert dzb == pytest.approx(-1.0)
 
+    def test_matches_per_power_formula_bit_for_bit(self):
+        def unit_phase_power(z, k):
+            # reference: the phasor recomputed for each power
+            if k == 0:
+                return np.ones_like(z)
+            r = np.abs(z)
+            u = np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0 + 0j)
+            if k < 0:
+                u, k = np.conj(u), -k
+            out, power = None, u
+            while k:
+                if k & 1:
+                    out = power.copy() if out is None else out * power
+                k >>= 1
+                if k:
+                    power = power * power
+            return out
+
+        rng = np.random.default_rng(8)
+        z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        z[::7] = 0.0
+        z[3] = -2.5
+        for k in range(-3, 4):
+            dz, dzb = harmonic_derivative(z, k)
+            np.testing.assert_array_equal(dz, 0.5 * (k + 1) * unit_phase_power(z, k - 1))
+            np.testing.assert_array_equal(dzb, 0.5 * (1 - k) * unit_phase_power(z, k + 1))
+
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(6)
         eps = 1e-6

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecov import io as pio
+from phasecov import cli
 from phasecov.cli import main
 from phasecov.covariance import estimate_covariance
 from phasecov.errors import ConfigError, FormatError
+from phasecov.gaussian import GaussianDualState
 from phasecov.graph import build_foveal_edges, model_preset
 from phasecov.grid import white_noise
 
@@ -342,6 +344,17 @@ class TestCli:
         cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})
         assert main(["cov", str(path), "--config", cfg]) == 4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
+                                     complex(np.nan, 1.0)])
+    def test_non_finite_field_exit_code(self, tmp_path, bad):
+        # real fields carry NaN or +-inf; complex ones a non-finite imaginary part too
+        path, x = self._field(tmp_path)
+        x = x.astype(complex) if np.iscomplexobj(bad) else x
+        x[3, 5] = bad
+        pio.write_field(path, x)
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})
+        assert main(["cov", str(path), "--config", cfg]) == 4
+
     @pytest.mark.parametrize("model", [
         {"J": "x"}, {"J": 3.5}, {"delta_n": "2"}, {"group": {"rotations": "false"}},
     ])
@@ -431,6 +444,21 @@ class TestCli:
         assert main(["gauss-sample", str(out / "spectrum.phkf"), "--count", "3",
                      "--out", str(out2), "--seed", "1"]) == 0
         assert (out2 / "sample_002.phkf").exists()
+
+    def test_gauss_fit_not_converged_writes_then_exits_3(self, tmp_path, monkeypatch):
+        path, _ = self._field(tmp_path, side=16, seed=4)
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "A", "J": 2, "Q": 4, "delta_n": 1},
+        })
+        state = GaussianDualState(
+            betas={}, spectrum=np.ones((16, 16)), entropy=1.0, feasible=True, converged=False,
+            constraint_error=2e-2, edge_keys=[], side=16)
+        monkeypatch.setattr(cli, "fit_gaussian_from_field", lambda *args: state)
+        out = tmp_path / "fit"
+        assert main(["gauss-fit", str(path), "--config", cfg, "--out", str(out)]) == 3
+        assert np.array_equal(pio.read_field(out / "spectrum.phkf"), state.spectrum)
+        meta = json.loads((out / "fit.json").read_text())
+        assert meta["converged"] is False and meta["constraint_error"] == 2e-2
 
     def test_eval_outputs(self, tmp_path):
         refdir = tmp_path / "ref"
