@@ -15,9 +15,11 @@ work on spectra scaled by 1/d (:func:`centered_spectra`):
 slices for all their lags; :class:`LagWindow`, the same correlations on a
 box t1 x t2 of lags only, by two small DFT products E1^T (A conj(B)) E2;
 and :func:`zero_lag_gram`, the angular Gram matrix A B^H of two rows at
-lag zero (Parseval's identity).  :class:`EdgeComputer` uses the last two,
-:func:`gaussianity_report` the Gram matrix, and :mod:`phasecov.evaluation`
-reads its lag maps with :func:`lag_correlations`.
+lag zero (Parseval's identity).  :class:`EdgeComputer` reads lag windows,
+and under rotations the circulant diagonal sums of the Gram matrices of
+all band rows at once, from their angular-and-spatial spectra;
+:func:`gaussianity_report` uses the Gram matrix and
+:mod:`phasecov.evaluation` reads its lag maps with :func:`lag_correlations`.
 
 Further group flags act by channel relabeling (never by image resampling):
 rotations shift the angular index of both vertices (valid for edges at a
@@ -26,6 +28,7 @@ second lag component, the central reflection shifts ell by Q/2 and negates
 the lag, and the sign change multiplies an edge by (-1)^(k+k').
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -167,22 +170,42 @@ def edge_orbit_terms(ch, ch2, du, group, Q):
     return terms
 
 
+class Rows(NamedTuple):
+    """Harmonic rows of one field.  ``stack`` maps (row, k) to the row's
+    stacked (slices, N, N) array.  Under rotations the band rows live only in
+    ``angular``, one (Q, R, N, N) buffer indexed by
+    :attr:`EdgeComputer.band_rows` (None without rotations): spatial out of
+    :meth:`EdgeComputer.harmonic_rows`, where their ``stack`` entries are
+    views (Q, N, N) of it, and angular-and-spatial spectra out of
+    :meth:`EdgeComputer.centered_rows`, where their entries are views
+    (1, N, N) of the m = 0 component."""
+
+    stack: dict
+    angular: np.ndarray | None
+
+
 class EdgeComputer:
     """Precomputed machinery to evaluate a fixed edge set on varying fields.
 
     Harmonic fields are stacked by row, (row, k) -> (Q, N, N) for a scale and
-    (1, N, N) for the low-pass, and every slice of every row is transformed
-    once per field (:meth:`centered_rows`).  The orbit terms of all edges,
-    each rotation-averaged term expanded into its Q angular relabelings at
-    weight w/Q, are sorted by the row pair they correlate:
+    (1, N, N) for the low-pass, and every row is transformed once per field
+    (:meth:`centered_rows`).  The orbit terms of all edges are sorted by the
+    row pair they correlate:
 
-    * a row pair whose terms all sit at lag zero and cover every angle pair
-      of the two rows (model D's rotation averages) forms a "gram" group,
-      keyed ("gram", row_a, row_b): the Gram matrix A B^H holds all of them;
-    * any other row pair, a sparse zero-lag one included, forms a "fix"
-      group, keyed ("fix", row_a, row_b).  It stores the lag box t1 x t2
-      (the distinct lag components on each axis, mod side: {0} x {0} for a
-      zero-lag row pair) as a :class:`LagWindow`, which builds the DFT
+    * under rotations, a band x band term averages the Gram matrix
+      G = A B^H of its rows along one circulant diagonal, sb - sa (mod Q).
+      These are diagonal in the angular Fourier index m: the band rows are
+      held in one (Q, R, N, N) buffer, one 3-D FFT over angle and space
+      gives their spectra S, and the Q Gram matrices C[m] = S_m S_m^H
+      (R x R each), Fourier transformed along m, hold every diagonal sum of
+      every band row pair.  All such terms form one "angular" group, keyed
+      ("angular",), that reads the (Q, R, R) table;
+    * every other row pair forms a "fix" group, keyed ("fix", row_a, row_b):
+      low-pass rows, all row pairs without rotations, and a low-pass x band
+      rotation average, which reads the band row's m = 0 component (the sum
+      of its slices over the angles).  A fix group stores the lag box
+      t1 x t2 (the distinct lag components on each axis, mod side: {0} x {0}
+      for a zero-lag row pair) as a :class:`LagWindow`, which builds the DFT
       matrices E1 = E(t1) and E2 = E(t2) once, and its slice pairs split
       into layers, one per angular offset, in which each slice of either
       row occurs at most once.  A layer's cross-spectra X = A[sa] conj(B[sb])
@@ -190,12 +213,15 @@ class EdgeComputer:
       exceeds one row and no lag plane is transformed.
 
     A group stores its members' edge indices, weights and the positions they
-    read in its map: (slice pair, lag index, lag index) for a fix group, an
-    angle pair for a gram group.  The gradient scatters the cotangents onto
-    that map.  A fix layer's grids become spectra G = E1 grid E2^T and add
-    B conj(G) and A G to Fourier accumulators of the rows; a gram group's
-    grid Gc adds conj(Gc) B and Gc^T A to whole rows.  Each row then takes
-    one inverse FFT.
+    read in its map: (slice pair, lag index, lag index) for a fix group,
+    (diagonal offset, band row, band row) in the (Q, R, R) table for the
+    angular group.  The gradient
+    scatters the cotangents onto that map.  A fix layer's grids become
+    spectra G = E1 grid E2^T and add B conj(G) and A G to Fourier
+    accumulators of the rows, each of which then takes one inverse FFT.  The
+    angular table's cotangents, Fourier transformed along the diagonal
+    offset to Gamma_m, turn each S_m into (conj(Gamma_m) + Gamma_m^T) S_m in
+    place, and one inverse 3-D FFT gives the band rows' accumulators.
     """
 
     def __init__(self, edges, spec, bank):
@@ -213,39 +239,42 @@ class EdgeComputer:
         self.Q = spec.Q
         self.rows = list(dict.fromkeys(
             slice_of(c, k)[0] for e in self.edges for (c, k) in ((e.ch, e.k), (e.ch2, e.k2))))
+        rotated = self.group.rotations and self.Q > 1
+        # band row -> its index in the angular buffer (empty without rotations)
+        self.band_rows = {rk: r for r, rk in enumerate(
+            rk for rk in self.rows if rotated and rk[0] != LOWPASS)}
         self.sign_factor = np.array(
             [0.0 if self.group.sign_change and (e.k + e.k2) % 2 == 1 else 1.0 for e in self.edges])
         self._index_terms()
 
     def _index_terms(self):
-        """Group the orbit terms of all edges by the row pair they correlate;
-        a rotation-averaged term expands into its Q relabelings at weight w/Q.
-        A row pair whose terms all sit at lag zero and cover every angle pair
-        forms a gram group, any other row pair a fix group.  Flat lists, not
-        one object per term, keep set-up memory flat."""
-        Q, n, group = self.Q, self.bank.side, self.group
+        """Group the orbit terms of all edges.  Under rotations a band x band
+        term reads the circulant diagonal (sb - sa) mod Q of its row pair in
+        the angular table, and a low-pass x band term the band row's m = 0
+        slice; every other term joins the fix group of its row pair.  Flat
+        lists, not one object per term, keep set-up memory flat."""
+        Q, n, group, band = self.Q, self.bank.side, self.group, self.band_rows
         terms = {}  # (row_a, row_b) -> flat runs of (edge index, weight, sa, sb, t1, t2)
+        angular = []  # flat runs of (edge index, weight, diagonal offset, band row a, band row b)
         for idx, e in enumerate(self.edges):
-            turns = Q if group.rotations and (e.ch, e.ch2) != (LOWPASS, LOWPASS) else 1
-            if turns > 1 and e.du != (0, 0):
+            if band and (e.ch, e.ch2) != (LOWPASS, LOWPASS) and e.du != (0, 0):
                 raise ConfigError("rotation averaging needs edges at a single position")
             for (w, c, c2, du) in edge_orbit_terms(e.ch, e.ch2, e.du, group, Q):
-                w = w / turns
-                for eta in range(turns):
-                    if eta:
-                        c, c2 = _rotate(c, 1, Q), _rotate(c2, 1, Q)
-                    a, b = slice_of(c, e.k), slice_of(c2, e.k2)
-                    terms.setdefault((a[0], b[0]), []).extend(
-                        (idx, w, a[1], b[1], du[0] % n, du[1] % n))
+                (ra, sa), (rb, sb) = slice_of(c, e.k), slice_of(c2, e.k2)
+                if ra in band and rb in band:
+                    angular.extend((idx, w, (sb - sa) % Q, band[ra], band[rb]))
+                    continue
+                if ra in band or rb in band:
+                    sa = sb = 0  # the m = 0 slice of the band row
+                terms.setdefault((ra, rb), []).extend((idx, w, sa, sb, du[0] % n, du[1] % n))
         self.pair_groups = {}
+        if angular:
+            t = np.array(angular).reshape(-1, 5)
+            pos = t[:, 2:].astype(int)
+            self.pair_groups[("angular",)] = _Group(
+                t[:, 0].astype(int), t[:, 1], tuple(pos.T), (Q,) + (len(band),) * 2)
         for (ra, rb), flat in terms.items():
-            t = np.array(flat).reshape(-1, 6)
-            sa, sb = t[:, 2].astype(int), t[:, 3].astype(int)
-            shape = (len(row_channels(ra[0], Q)), len(row_channels(rb[0], Q)))
-            if not t[:, 4:].any() and len(np.unique(sa * shape[1] + sb)) == shape[0] * shape[1]:
-                self.pair_groups[("gram", ra, rb)] = _Group(t[:, 0].astype(int), t[:, 1], (sa, sb), shape)
-            else:
-                self.pair_groups[("fix", ra, rb)] = _window_group(t, n, Q)
+            self.pair_groups[("fix", ra, rb)] = _window_group(np.array(flat).reshape(-1, 6), n, Q)
 
     def _orbit(self, ch):
         """Weighted images of a channel under the group's channel relabelings."""
@@ -258,13 +287,21 @@ class EdgeComputer:
     # ----- field-dependent quantities -------------------------------------
 
     def harmonic_rows(self, x):
-        """Stacked harmonic fields per row: (Q, N, N) for scales, (1, N, N) for low."""
+        """Harmonic fields per row (:class:`Rows`) and the channel fields."""
         fields = channel_fields(x, self.bank)
-        return {(row, k): harmonic_stack(fields, row, k, self.Q) for (row, k) in self.rows}, fields
+        buf = None
+        if self.band_rows:
+            buf = np.empty((self.Q, len(self.band_rows)) + np.shape(x), dtype=complex)
+            for (row, k), r in self.band_rows.items():
+                for ell in range(self.Q):
+                    buf[ell, r] = phase_harmonic(fields[(row, ell)], k)
+        stack = {(row, k): buf[:, self.band_rows[(row, k)]] if (row, k) in self.band_rows
+                 else harmonic_stack(fields, row, k, self.Q) for (row, k) in self.rows}
+        return Rows(stack, buf), fields
 
     def raw_means(self, rows):
         means = {}
-        for (row, k), h in rows.items():
+        for (row, k), h in rows.stack.items():
             for ch, m in zip(row_channels(row, self.Q), h.mean(axis=(1, 2))):
                 means[(ch, k)] = complex(m)
         return means
@@ -282,29 +319,63 @@ class EdgeComputer:
         return out
 
     def centered_rows(self, rows, means):
-        """Spectra of the centered rows: (row, k) -> fft2 of every slice."""
-        return {(row, k): centered_spectra(h, [means[(ch, k)] for ch in row_channels(row, self.Q)])
-                for (row, k), h in rows.items()}
+        """Spectra of the centered rows (:class:`Rows`): fft2 of every slice of
+        a low-pass row (and of every row without rotations), and one 3-D FFT
+        over angle and space of the band buffer, done in place, so ``rows``
+        is used up."""
+        spectra, buf = {}, rows.angular
+        for (row, k), h in rows.stack.items():
+            m = [means[(ch, k)] for ch in row_channels(row, self.Q)]
+            if (row, k) in self.band_rows:
+                h -= np.asarray(m)[:, None, None]
+            else:
+                spectra[(row, k)] = centered_spectra(h, m)
+        if buf is not None:
+            np.fft.fftn(buf, axes=(0, 2, 3), norm="forward", out=buf)
+            for rk, r in self.band_rows.items():
+                spectra[rk] = buf[0, r:r + 1]
+        return Rows(spectra, buf)
+
+    def angular_table(self, s):
+        """(Q, R, R) table, for each diagonal offset delta and band row pair,
+        of (1/Q) sum_ell G[ell, ell + delta] with G the Gram matrix of the two
+        rows' slice spectra: the FFT along m of the Gram matrices
+        C[m] = S_m S_m^H of the angular-and-spatial spectra ``s``."""
+        q, r = s.shape[:2]
+        c = np.empty((q, r, r), dtype=complex)
+        for m in range(q):
+            sm = s[m].reshape(r, -1)
+            np.matmul(sm, np.conj(sm).T, out=c[m])
+        return np.fft.fft(c, axis=0)
 
     def edge_values(self, spectra):
         """All edge covariances from :meth:`centered_rows` output."""
         vals = np.zeros(len(self.edges), dtype=complex)
         for key, g in self.pair_groups.items():
-            a, b = spectra[key[1]], spectra[key[2]]
-            if key[0] == "gram":
-                t = zero_lag_gram(a, b)
+            if key[0] == "angular":
+                t = self.angular_table(spectra.angular)
             else:
+                a, b = spectra.stack[key[1]], spectra.stack[key[2]]
                 t = np.concatenate([g.window.correlations(_cross_spectra(a, b, layer))
                                     for layer in g.layers])
             np.add.at(vals, g.idx, g.w * t[g.pos])
         return vals * self.sign_factor
 
     def diagonals(self, spectra):
-        """Own-diagonal K(v, v) per vertex class (group averaged)."""
+        """Own-diagonal K(v, v) per vertex class (group averaged).  Under
+        rotations a band slice's power is read as its row's rotation average,
+        the m = 0 diagonal of the angular table, which is all the orbit
+        average of a band channel sees."""
         power = {}
-        for (row, k), s in spectra.items():
-            for ch, p in zip(row_channels(row, self.Q), slice_power(s)):
-                power[(ch, k)] = float(p)
+        for (row, k), s in spectra.stack.items():
+            if (row, k) not in self.band_rows:
+                for ch, p in zip(row_channels(row, self.Q), slice_power(s)):
+                    power[(ch, k)] = float(p)
+        if self.band_rows:
+            mean_power = np.real(self.angular_table(spectra.angular)[0].diagonal())
+            for (row, k), p in zip(self.band_rows, mean_power):
+                for ch in row_channels(row, self.Q):
+                    power[(ch, k)] = float(p)
         diag = {}
         for e in self.edges:
             for (ch, k) in ((e.ch, e.k), (e.ch2, e.k2)):
@@ -321,20 +392,24 @@ class EdgeComputer:
         P_a(w) = (1/d) sum_du g(du) conj(b(w+du)) and
         P_b(w) = (1/d) sum_du conj(g(du)) conj(a(w-du)),
         accumulated as B conj(G) and A G, G = E1 g E2^T, and inverted once per
-        row.  A gram group's angle-pair grid Gc adds conj(Gc) B and Gc^T A to
-        whole rows.
+        row.  The angular table's cotangents Gamma, Fourier transformed along
+        the diagonal offset, turn S_m into (conj(Gamma_m) + Gamma_m^T) S_m,
+        the m = 0 slice gains the low-pass x band accumulators, and one
+        inverse 3-D FFT over angle and space inverts all band rows (``spectra``
+        is used up).
         """
         n = self.bank.side
-        acc = {rk: np.zeros_like(s) for rk, s in spectra.items()}
+        s = spectra.angular
+        acc = {rk: np.zeros_like(a) for rk, a in spectra.stack.items()}
         cot = cot * self.sign_factor
+        gamma = np.zeros((self.Q,) + (len(self.band_rows),) * 2)
         for key, g in self.pair_groups.items():
-            a, b = spectra[key[1]], spectra[key[2]]
             grid = np.zeros(g.shape, dtype=complex)
             np.add.at(grid, g.pos, cot[g.idx] * g.w)
-            if key[0] == "gram":
-                acc[key[1]] += (np.conj(grid) @ b.reshape(len(b), -1)).reshape(a.shape)
-                acc[key[2]] += (grid.T @ a.reshape(len(a), -1)).reshape(b.shape)
+            if key[0] == "angular":
+                gamma = np.fft.fft(grid, axis=0)
                 continue
+            a, b = spectra.stack[key[1]], spectra.stack[key[2]]
             win, start = g.window, 0
             for layer in g.layers:
                 ghat = win.spectra(grid[start:start + len(layer)])
@@ -344,10 +419,22 @@ class EdgeComputer:
                     acc_b += win.tiles(a[p]) * gh
                     acc_a = win.tiles(acc[key[1]][p])
                     acc_a += win.tiles(b[q]) * np.conj(gh)
+        if s is not None:
+            r = len(self.band_rows)
+            prod = np.empty((r, s[0].size // r), dtype=complex)
+            for m in range(self.Q):
+                sm = s[m].reshape(r, -1)
+                np.matmul(np.conj(gamma[m]) + gamma[m].T, sm, out=prod)
+                sm[...] = prod
+            for rk, i in self.band_rows.items():
+                s[0, i] += acc.pop(rk)[0]
+            np.fft.ifftn(s, axes=(0, 2, 3), out=s)
         # chain through the phase harmonic and back through the filters
+        planes = itertools.chain(
+            ((rk, np.conj(np.fft.ifft2(acc.pop(rk)))) for rk in list(acc)),
+            ((rk, np.conj(s[:, r])) for rk, r in self.band_rows.items()))
         per_channel = {}
-        for (row, k) in list(acc):
-            p = np.conj(np.fft.ifft2(acc.pop((row, k))))
+        for (row, k), p in planes:
             for ch, pe in zip(row_channels(row, self.Q), p):
                 d1, d2 = harmonic_derivative(fields[ch], k)
                 per_channel[ch] = per_channel.get(ch, 0) + (pe * d1 + np.conj(pe) * np.conj(d2))
@@ -361,7 +448,8 @@ class _Group(NamedTuple):
     """Members of one pair group: edge indices, weights, the position each
     reads in the group's map and the map's shape.  A fix group's map stacks
     the lag boxes of its slice pairs, layer by layer; ``layers`` lists the
-    slice pairs (sa, sb) of each layer and ``window`` reads the lag box."""
+    slice pairs (sa, sb) of each layer and ``window`` reads the lag box.  The
+    angular group's map is the (Q, R, R) table of diagonal sums."""
 
     idx: np.ndarray
     w: np.ndarray

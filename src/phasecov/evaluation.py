@@ -109,9 +109,10 @@ def correlation_matrix(fields, bank, window, ref_diag=None):
 
 
 def operator_norm(matrix, tol=1e-6, max_iter=10000, seed=0):
-    """Largest |eigenvalue| of a Hermitian matrix by power iteration."""
+    """Largest |eigenvalue| of a Hermitian matrix by power iteration.  The
+    matrix is applied as given, without a symmetrized copy: correlation
+    matrices and their differences are Hermitian by construction."""
     m = np.asarray(matrix)
-    m = 0.5 * (m + np.conj(m.T))
     rng = np.random.Generator(np.random.Philox(key=seed))
     v = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
     v /= np.linalg.norm(v)

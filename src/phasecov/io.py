@@ -22,7 +22,7 @@ import numpy as np
 
 from .covariance import CovarianceTable
 from .errors import ConfigError, FormatError
-from .graph import Edge, ModelSpec, OptimizerSettings, SymmetryGroup
+from .graph import Edge, ModelSpec, OptimizerSettings, SymmetryGroup, _require_int
 from .wavelets import LOWPASS
 
 FIELD_MAGIC = b"PHKF"
@@ -207,6 +207,23 @@ def _object(doc, key, allowed, where):
     return value
 
 
+def _validate_evaluation(ev):
+    """ConfigError unless the evaluation section's values have their types
+    and ranges: integer exponents, a lattice radius and profile length >= 0,
+    and non-empty lists of scales and moment orders >= 1."""
+    for key, low in (("k_lo", None), ("k_hi", None), ("delta_n", 0), ("a_max", 0)):
+        if key in ev:
+            _require_int(f"evaluation {key}", ev[key], low)
+    for key in ("j_list", "q_list"):
+        if key in ev:
+            value = ev[key]
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"evaluation {key} must be a non-empty list of integers, "
+                                  f"got {value!r}")
+            for v in value:
+                _require_int(f"evaluation {key} entry", v, 1)
+
+
 def parse_config(doc):
     """Validated run configuration from a parsed JSON document (fail-closed)."""
     if not isinstance(doc, dict):
@@ -216,6 +233,7 @@ def parse_config(doc):
     group_doc = _object(model_doc, "group", _GROUP_KEYS, "'model.group'")
     opt_doc = _object(doc, "optimizer", _OPT_KEYS, "'optimizer'")
     eval_doc = _object(doc, "evaluation", _EVAL_KEYS, "'evaluation'")
+    _validate_evaluation(eval_doc)
 
     group = SymmetryGroup(**group_doc)
     # top-level restarts / seed override the optimizer section

@@ -218,11 +218,27 @@ def spatial_reference(comp, x, means, cot):
     return vals * comp.sign_factor, 2.0 * np.real(np.fft.fft2(total_hat))
 
 
+def assert_matches_spatial_reference(comp, x, seed):
+    """Edge values and the gradient for random cotangents against
+    :func:`spatial_reference`, both to 1e-12 relative."""
+    rows, fields = comp.harmonic_rows(x)
+    means = comp.averaged_means(comp.raw_means(rows))
+    centered = comp.centered_rows(rows, means)
+    cot = np.random.default_rng(seed).standard_normal((len(comp.edges), 2)) @ [1, 1j]
+    ref_vals, ref_grad = spatial_reference(comp, x, means, cot)
+    vals = comp.edge_values(centered)
+    grad = comp.gradient_fields(centered, fields, cot)
+    assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
+    assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+
 ENGINE_SPECS = {
     "C": dict(),
     "C-reflections-sign": dict(group=SymmetryGroup(line_reflection=True, central_reflection=True,
                                                    sign_change=True)),
     "D": dict(),
+    "D-reflections-sign": dict(group=SymmetryGroup(rotations=True, line_reflection=True,
+                                                   central_reflection=True, sign_change=True)),
 }
 
 
@@ -239,8 +255,10 @@ class TestSpectralEngine:
         target = engine_target(name)
         comp = target.computer
         kinds = {key[0] for key in comp.pair_groups}
-        if name == "D":
-            assert kinds == {"gram"}
+        if name.startswith("D"):
+            # band rotation averages read the angular table; the low-pass
+            # rows, alone and against a band row's m = 0 slice, lag windows
+            assert kinds == {"angular", "fix"}
         else:
             # lagged and sparse zero-lag row pairs alike read lag windows
             assert kinds == {"fix"}
@@ -263,17 +281,9 @@ class TestSpectralEngine:
         edges = [Edge((1, 0), 1, LOWPASS, 1, (0, 0)), Edge(LOWPASS, 0, (2, 1), 2, (0, 0)),
                  Edge((1, 0), 2, (2, 3), 1, (0, 0)), Edge(LOWPASS, 1, LOWPASS, 1, (1, 0))]
         comp = EdgeComputer(edges, spec, bank)
-        assert {key[0] for key in comp.pair_groups} == {"fix", "gram"}
-        x = white_noise(16, 1.0, 44)
-        rows, fields = comp.harmonic_rows(x)
-        means = comp.averaged_means(comp.raw_means(rows))
-        centered = comp.centered_rows(rows, means)
-        cot = np.random.default_rng(45).standard_normal((len(edges), 2)) @ [1, 1j]
-        ref_vals, ref_grad = spatial_reference(comp, x, means, cot)
-        vals = comp.edge_values(centered)
-        grad = comp.gradient_fields(centered, fields, cot)
-        assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
-        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+        assert {key[0] for key in comp.pair_groups} == {"fix", "angular"}
+        assert comp.pair_groups[("fix", (LOWPASS, 0), (2, 2))].shape == (1, 1, 1)
+        assert_matches_spatial_reference(comp, white_noise(16, 1.0, 44), 45)
 
     @pytest.mark.parametrize("row_a, row_b, t1, t2", [
         ((1, 1), (1, 2), [0, 1, 8, 13], [15, 9, 0]),   # lags at and past side/2
@@ -315,23 +325,25 @@ class TestSpectralEngine:
         for layer in lagged.layers:
             assert len({p for p, _ in layer}) == len({q for _, q in layer}) == len(layer)
         assert comp.pair_groups[("fix", (1, 0), (2, 2))].shape == (2, 1, 1)
-        x = white_noise(16, 1.0, 48)
-        rows, fields = comp.harmonic_rows(x)
-        means = comp.averaged_means(comp.raw_means(rows))
-        centered = comp.centered_rows(rows, means)
-        cot = np.random.default_rng(49).standard_normal((len(edges), 2)) @ [1, 1j]
-        ref_vals, ref_grad = spatial_reference(comp, x, means, cot)
-        vals = comp.edge_values(centered)
-        grad = comp.gradient_fields(centered, fields, cot)
-        assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
-        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+        assert_matches_spatial_reference(comp, white_noise(16, 1.0, 48), 49)
+
+    def test_dense_zero_lag_without_rotations_reads_a_window(self):
+        # every angle pair of two band rows at lag zero, but no rotation
+        # average: each edge reads its own Gram entry through a {0} x {0} window
+        spec = model_preset("B", J=2, Q=4)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        edges = [Edge((1, la), 1, (2, lb), 2, (0, 0)) for la in range(4) for lb in range(4)]
+        comp = EdgeComputer(edges, spec, bank)
+        assert list(comp.pair_groups) == [("fix", (1, 1), (2, 2))]
+        assert comp.pair_groups[("fix", (1, 1), (2, 2))].shape == (16, 1, 1)
+        assert_matches_spatial_reference(comp, white_noise(16, 1.0, 50), 51)
 
     @pytest.mark.parametrize("name", ["C", "D"])
     def test_fft_calls_per_gradient(self, name, monkeypatch):
         target = engine_target(name)
         comp = target.computer
         calls = []
-        for fn in ("fft2", "ifft2"):
+        for fn in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
             orig = getattr(np.fft, fn)
             monkeypatch.setattr(np.fft, fn, lambda *a, _f=orig, **kw: calls.append(1) or _f(*a, **kw))
         value_and_grad(white_noise(32, 1.0, 42), target)

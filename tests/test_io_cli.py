@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phasecov import io as pio
 from phasecov import cli
 from phasecov.cli import main
-from phasecov.covariance import estimate_covariance
+from phasecov.covariance import CovarianceTable, estimate_covariance
 from phasecov.errors import ConfigError, FormatError
 from phasecov.gaussian import GaussianDualState
-from phasecov.graph import build_foveal_edges, model_preset
+from phasecov.graph import SymmetryGroup, build_foveal_edges, model_preset
 from phasecov.grid import white_noise
+from phasecov.wavelets import LOWPASS
 
 
 class TestFieldFile:
@@ -140,6 +142,95 @@ class TestTableFile:
             pio.read_table(bad)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+channels = st.one_of(st.just(LOWPASS), st.tuples(st.integers(1, 5), st.integers(0, 15)))
+vertex_classes = st.tuples(channels, st.integers(-3, 3))
+
+
+@st.composite
+def fields(draw):
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    elements = finite if dtype == np.float64 else st.complex_numbers(
+        allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=3, max_side=4),
+                           elements=elements))
+
+
+@st.composite
+def tables(draw):
+    edge_keys = st.tuples(channels, st.integers(-3, 3), channels, st.integers(-3, 3),
+                          st.tuples(st.integers(-64, 64), st.integers(-64, 64)))
+    diag = draw(st.dictionaries(vertex_classes, finite, max_size=4))
+    norm_diag = draw(st.one_of(st.none(), st.fixed_dictionaries({c: finite for c in diag})))
+    return CovarianceTable(
+        means=draw(st.dictionaries(vertex_classes, st.complex_numbers(
+            allow_nan=False, allow_infinity=False), max_size=4)),
+        cov=draw(st.dictionaries(edge_keys, st.complex_numbers(
+            allow_nan=False, allow_infinity=False), max_size=6)),
+        diag=diag,
+        group=SymmetryGroup(*draw(st.tuples(*[st.booleans()] * 4))),
+        normalized=draw(st.booleans()),
+        norm_diag=norm_diag,
+        source=draw(st.text(max_size=8)),
+    )
+
+
+def read_or_format_error(reader, path):
+    """The reader's result, or None when it raised FormatError; any other
+    exception propagates and fails the test."""
+    try:
+        return reader(path)
+    except FormatError:
+        return None
+
+
+class TestReaderFuzz:
+    """Round trips and damaged copies of .phkf and .phkt files: a reader
+    returns the data or raises FormatError, never anything else."""
+
+    @given(x=fields())
+    @settings(max_examples=25, deadline=None)
+    def test_field_round_trip_and_every_prefix(self, x, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("field")
+        pio.write_field(tmp / "x.phkf", x)
+        back = pio.read_field(tmp / "x.phkf")
+        assert back.dtype == x.dtype and np.array_equal(back, x)
+        data = (tmp / "x.phkf").read_bytes()
+        for cut in range(len(data)):
+            (tmp / "cut.phkf").write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                pio.read_field(tmp / "cut.phkf")
+
+    @given(table=tables())
+    @settings(max_examples=25, deadline=None)
+    def test_table_round_trip_and_every_prefix(self, table, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("table")
+        pio.write_table(tmp / "t.phkt", table)
+        back = pio.read_table(tmp / "t.phkt")
+        assert (back.means, back.cov, back.diag, back.norm_diag) == (
+            table.means, table.cov, table.diag, table.norm_diag)
+        assert (back.group, back.normalized, back.source) == (
+            table.group, table.normalized, table.source)
+        data = (tmp / "t.phkt").read_bytes()
+        for cut in range(len(data)):
+            (tmp / "cut.phkt").write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                pio.read_table(tmp / "cut.phkt")
+
+    @given(x=fields(), table=tables(), where=st.floats(0, 1, exclude_max=True),
+           byte=st.integers(0, 255))
+    @settings(max_examples=50, deadline=None)
+    def test_one_changed_byte(self, x, table, where, byte, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("damaged")
+        for name, write, read, obj in (("x.phkf", pio.write_field, pio.read_field, x),
+                                       ("t.phkt", pio.write_table, pio.read_table, table)):
+            write(tmp / name, obj)
+            data = bytearray((tmp / name).read_bytes())
+            data[int(where * len(data))] = byte
+            (tmp / name).write_bytes(bytes(data))
+            read_or_format_error(read, tmp / name)
+
+
 class TestConfig:
     def test_parse_preset(self):
         cfg = pio.parse_config({"model": {"name": "B", "J": 3, "Q": 8}})
@@ -212,6 +303,19 @@ class TestConfig:
     def test_rejects_bad_model_section(self, model):
         with pytest.raises(ConfigError):
             pio.parse_config({"model": model})
+
+    @pytest.mark.parametrize("evaluation", [
+        {"k_lo": 0.5}, {"k_hi": "x"}, {"delta_n": -1}, {"delta_n": True}, {"a_max": -2},
+        {"j_list": "ab"}, {"j_list": []}, {"j_list": [0]}, {"j_list": [1, "2"]},
+        {"q_list": 2}, {"q_list": []}, {"q_list": [1.5]}, {"q_list": [0]},
+    ])
+    def test_rejects_bad_evaluation_section(self, evaluation):
+        with pytest.raises(ConfigError, match=next(iter(evaluation))):
+            pio.parse_config({"model": {"name": "B"}, "evaluation": evaluation})
+
+    def test_evaluation_section_accepted(self):
+        ev = {"k_lo": -1, "k_hi": 3, "delta_n": 0, "a_max": 0, "j_list": [1, 2], "q_list": [2]}
+        assert pio.parse_config({"model": {"name": "B"}, "evaluation": ev})["evaluation"] == ev
 
     def test_zero_tolerances_accepted(self):
         cfg = pio.parse_config({"model": {"name": "B"}, "optimizer": {"gtol": 0, "eps_ratio": 0.0}})
@@ -499,6 +603,17 @@ class TestCli:
         assert float(model_row.split(",")[3]) == 0.0
         structure_rows = [r for r in rows if r.startswith("structure,")]
         assert all(float(r.split(",")[3]) == 0.0 for r in structure_rows)
+
+    @pytest.mark.parametrize("evaluation", [{"k_hi": "x"}, {"j_list": "ab"}, {"delta_n": -1}])
+    def test_eval_bad_evaluation_section_exit_code(self, tmp_path, capsys, evaluation):
+        refdir = tmp_path / "ref"
+        refdir.mkdir()
+        pio.write_field(refdir / "r0.phkf", white_noise(16, 1.0, 40))
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "B", "J": 2, "Q": 4}, "evaluation": evaluation})
+        assert main(["eval", str(refdir), str(refdir), "--config", cfg,
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert f"evaluation {next(iter(evaluation))}" in capsys.readouterr().err
 
     def test_eval_missing_dir_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})

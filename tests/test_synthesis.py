@@ -245,3 +245,18 @@ class TestTrajectoryEquivariance:
         t_flip = self._trajectories(target, negate(x0), 25)
         for xa, xb in zip(t_base, t_flip):
             assert np.array_equal(negate(xa), xb)
+
+    def test_sign_flip_equivariant_descent_with_rotations(self):
+        # the angular path (3-D FFTs, batched Gram products, their adjoint)
+        # is linear in each row, so the sign flip stays exact to the bit
+        side = 16
+        spec = model_preset("D", J=2, Q=4, group=SymmetryGroup(rotations=True, sign_change=True))
+        xbar = gaussian_reference(side, 30)
+        target = build_target(xbar, spec)
+        assert ("angular",) in target.computer.pair_groups
+        x0 = white_noise(side, np.sqrt(target.sigma2), 31)
+        t_base = self._trajectories(target, x0, 25)
+        t_flip = self._trajectories(target, negate(x0), 25)
+        assert len(t_base) == len(t_flip) > 1
+        for xa, xb in zip(t_base, t_flip):
+            assert np.array_equal(negate(xa), xb)
