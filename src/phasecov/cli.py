@@ -28,12 +28,6 @@ def _load_spec(args, side=None):
         raise ConfigError("--config is required for this command")
     cfg = pio.load_config(args.config)
     spec = cfg["spec"]
-    if args.seed is not None:
-        spec.optimizer.seed = args.seed
-    if getattr(args, "restarts", None) is not None:
-        if args.restarts < 1:
-            raise ConfigError("--restarts must be >= 1")
-        spec.optimizer.restarts = args.restarts
     if side is not None and 2 ** spec.J > side:
         raise ConfigError(f"2^J = {2 ** spec.J} exceeds the grid side {side}")
     return spec, cfg
@@ -79,6 +73,12 @@ def cmd_cov(args):
 def cmd_synth(args):
     xbar = _read_real_field(args.input)
     spec, cfg = _load_spec(args, side=xbar.shape[0])
+    if args.seed is not None:
+        spec.optimizer.seed = args.seed
+    if args.restarts is not None:
+        if args.restarts < 1:
+            raise ConfigError("--restarts must be >= 1")
+        spec.optimizer.restarts = args.restarts
     out = _outdir(args)
     if spec.name.upper() == "A":
         bank = build_bump_bank(xbar.shape[0], spec.J, spec.Q)
@@ -204,7 +204,9 @@ def cmd_eval(args):
             prof = long_range_profile(models, bank, k, j, a_max)
             prows.extend((k, j, a, float(v)) for a, v in enumerate(prof))
     pio.write_csv(out / "profiles.csv", ["k", "j", "a", "value"], prows)
-    sys.stdout.write(f"eval: eps_model={eps_model:.4g} eps_emp={eps_emp:.4g}\n")
+    sys.stdout.write(
+        f"eval: eps_model={eps_model:.4g} eps_emp={eps_emp:.4g} (window k_lo={window.k_lo} "
+        f"k_hi={window.k_hi} delta_n={window.delta_n}, |V|={len(c_ref)})\n")
 
 
 def cmd_gauss_test(args):
@@ -244,55 +246,44 @@ def build_parser():
     p = argparse.ArgumentParser(prog="phasecov", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, restarts=False):
-        sp.add_argument("--config", type=str, default=None, help="JSON run configuration")
-        sp.add_argument("--seed", type=int, default=None, help="64-bit seed override")
+    def command(name, func, summary, config=True, seed=False):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        if config:
+            sp.add_argument("--config", type=str, default=None, help="JSON run configuration")
+        if seed:
+            sp.add_argument("--seed", type=int, default=None, help="64-bit seed override")
         sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=1, help="worker processes for restarts")
-        if restarts:
-            sp.add_argument("--restarts", type=int, default=None)
+        return sp
 
-    sp = sub.add_parser("cov", help="estimate covariance tables")
+    sp = command("cov", cmd_cov, "estimate covariance tables")
     sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(func=cmd_cov)
 
-    sp = sub.add_parser("synth", help="synthesize model samples")
+    sp = command("synth", cmd_synth, "synthesize model samples", seed=True)
     sp.add_argument("input")
-    common(sp, restarts=True)
-    sp.set_defaults(func=cmd_synth)
+    sp.add_argument("--threads", type=int, default=1, help="worker processes for restarts")
+    sp.add_argument("--restarts", type=int, default=None)
 
-    sp = sub.add_parser("gauss-fit", help="fit the maximum-entropy Gaussian dual")
+    sp = command("gauss-fit", cmd_gauss_fit, "fit the maximum-entropy Gaussian dual")
     sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(func=cmd_gauss_fit)
 
-    sp = sub.add_parser("gauss-sample", help="sample a fitted Gaussian spectrum")
+    sp = command("gauss-sample", cmd_gauss_sample, "sample a fitted Gaussian spectrum",
+                 config=False, seed=True)
     sp.add_argument("spectrum")
     sp.add_argument("--count", type=int, default=10)
-    common(sp)
-    sp.set_defaults(func=cmd_gauss_sample)
 
-    sp = sub.add_parser("eval", help="model error metrics")
+    sp = command("eval", cmd_eval, "model error metrics")
     sp.add_argument("reference", help="directory of reference .phkf fields")
     sp.add_argument("model", help="directory of model .phkf fields")
-    common(sp)
-    sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("gauss-test", help="Gaussianity diagnostics")
+    sp = command("gauss-test", cmd_gauss_test, "Gaussianity diagnostics")
     sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(func=cmd_gauss_test)
 
-    sp = sub.add_parser("spectrum", help="radial power spectrum CSV")
+    sp = command("spectrum", cmd_spectrum, "radial power spectrum CSV", config=False)
     sp.add_argument("inputs", nargs="+")
-    common(sp)
-    sp.set_defaults(func=cmd_spectrum)
 
-    sp = sub.add_parser("export", help="export a field as 16-bit PGM")
+    sp = command("export", cmd_export, "export a field as 16-bit PGM", config=False)
     sp.add_argument("input")
-    common(sp)
-    sp.set_defaults(func=cmd_export)
     return p
 
 

@@ -9,16 +9,17 @@ translation of the input.
 
 Every correlation is read off the spectra of centered harmonic rows.  A row
 stacks the harmonic fields of one scale's Q angles (or of the low-pass
-alone) at one exponent k; a slice is one angle of it.  Three primitives
-work on spectra scaled by 1/d (:func:`centered_spectra`):
+alone) at one exponent k; a slice is one angle of it.  A slice's spectrum
+scaled by 1/d holds its translation mean in the DC bin, so centering a slice
+changes that one bin.  Three primitives work on these spectra:
 :func:`lag_correlations`, one FFT of the cross-spectrum A conj(B) of two
 slices for all their lags; :class:`LagWindow`, the same correlations on a
 box t1 x t2 of lags only, by two small DFT products E1^T (A conj(B)) E2;
-and :func:`zero_lag_gram`, the angular Gram matrix A B^H of two rows at
-lag zero (Parseval's identity).  :class:`EdgeComputer` reads lag windows,
-and under rotations the circulant diagonal sums of the Gram matrices of
-all band rows at once, from their angular-and-spatial spectra;
-:func:`gaussianity_report` uses the Gram matrix and
+and Parseval's identity, sum_w A(w) conj(B(w)), at lag zero.
+:class:`EdgeComputer` holds all rows of a field in two buffers transformed
+in place and reads lag windows, and under rotations the circulant diagonal
+sums of the angular Gram matrices of all band rows at once, from them;
+:func:`gaussianity_report` pairs slices at lag zero and
 :mod:`phasecov.evaluation` reads its lag maps with :func:`lag_correlations`.
 
 Further group flags act by channel relabeling (never by image resampling):
@@ -28,7 +29,6 @@ second lag component, the central reflection shifts ell by Q/2 and negates
 the lag, and the sign change multiplies an edge by (-1)^(k+k').
 """
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,9 +51,6 @@ class CovarianceTable:
     normalized: bool = False
     norm_diag: dict | None = None    # diagonal used for normalization
     source: str = ""
-
-    def value(self, edge):
-        return self.cov[edge.key()]
 
 
 def slice_of(ch, k):
@@ -132,12 +129,6 @@ class LagWindow:
         return (np.matmul(self.e1, grid).reshape(m * n1, l2) @ self.e2.T).reshape(m, n1, n)
 
 
-def zero_lag_gram(a, b):
-    """Lag-zero correlations of every slice of row ``a`` with every slice of
-    row ``b``, from their spectra by Parseval: the Gram matrix A B^H."""
-    return a.reshape(len(a), -1) @ np.conj(b.reshape(len(b), -1)).T
-
-
 def slice_power(s):
     """Mean |h|^2 of each centered slice of a row, from its spectra (Parseval)."""
     return np.sum(np.abs(s) ** 2, axis=(1, 2))
@@ -171,57 +162,59 @@ def edge_orbit_terms(ch, ch2, du, group, Q):
 
 
 class Rows(NamedTuple):
-    """Harmonic rows of one field.  ``stack`` maps (row, k) to the row's
-    stacked (slices, N, N) array.  Under rotations the band rows live only in
-    ``angular``, one (Q, R, N, N) buffer indexed by
-    :attr:`EdgeComputer.band_rows` (None without rotations): spatial out of
-    :meth:`EdgeComputer.harmonic_rows`, where their ``stack`` entries are
-    views (Q, N, N) of it, and angular-and-spatial spectra out of
-    :meth:`EdgeComputer.centered_rows`, where their entries are views
-    (1, N, N) of the m = 0 component."""
+    """Centered spectra of one field's harmonic rows, out of
+    :meth:`EdgeComputer.harmonic_rows`.  ``band`` (Q, R, N, N) holds the band
+    rows and ``low`` (1, L, N, N) the low-pass rows, slice by row, at the
+    positions :attr:`EdgeComputer.slot` gives.  A slice is fft2(h - mean) / d;
+    under rotations the band buffer is also Fourier transformed along the
+    angle (scaled by 1/Q), so ``band[m, r]`` is angular component m of row r."""
 
-    stack: dict
-    angular: np.ndarray | None
+    band: np.ndarray
+    low: np.ndarray
 
 
 class EdgeComputer:
     """Precomputed machinery to evaluate a fixed edge set on varying fields.
 
-    Harmonic fields are stacked by row, (row, k) -> (Q, N, N) for a scale and
-    (1, N, N) for the low-pass, and every row is transformed once per field
-    (:meth:`centered_rows`).  The orbit terms of all edges are sorted by the
-    row pair they correlate:
+    Every harmonic row of a field lives in one of two buffers (:class:`Rows`),
+    the band rows in (Q, R, N, N) and the low-pass rows in (1, L, N, N), with
+    or without rotations, and each buffer is transformed once per field, in
+    place, and centered at its DC bins (:meth:`harmonic_rows`).  The rotation
+    flag decides only the FFT axes (under rotations the band buffer is also
+    transformed along the angle), which slices of a band row lag windows
+    read (its Q slices, or under rotations its m = 0 component, the mean of
+    its slices over the angles), and how the orbit terms of all edges are
+    sorted by the row pair they correlate:
 
     * under rotations, a band x band term averages the Gram matrix
       G = A B^H of its rows along one circulant diagonal, sb - sa (mod Q).
-      These are diagonal in the angular Fourier index m: the band rows are
-      held in one (Q, R, N, N) buffer, one 3-D FFT over angle and space
-      gives their spectra S, and the Q Gram matrices C[m] = S_m S_m^H
-      (R x R each), Fourier transformed along m, hold every diagonal sum of
-      every band row pair.  All such terms form one "angular" group, keyed
-      ("angular",), that reads the (Q, R, R) table;
+      These are diagonal in the angular Fourier index m: with S the band
+      buffer's angular-and-spatial spectra, the Q Gram matrices
+      C[m] = S_m S_m^H (R x R each), Fourier transformed along m, hold every
+      diagonal sum of every band row pair.  All such terms form one
+      "angular" group, keyed ("angular",), that reads the (Q, R, R) table;
     * every other row pair forms a "fix" group, keyed ("fix", row_a, row_b):
       low-pass rows, all row pairs without rotations, and a low-pass x band
-      rotation average, which reads the band row's m = 0 component (the sum
-      of its slices over the angles).  A fix group stores the lag box
-      t1 x t2 (the distinct lag components on each axis, mod side: {0} x {0}
-      for a zero-lag row pair) as a :class:`LagWindow`, which builds the DFT
-      matrices E1 = E(t1) and E2 = E(t2) once, and its slice pairs split
-      into layers, one per angular offset, in which each slice of either
-      row occurs at most once.  A layer's cross-spectra X = A[sa] conj(B[sb])
-      give the box by two small products, E1^T X E2, so no temporary
-      exceeds one row and no lag plane is transformed.
+      rotation average, which reads the band row's m = 0 component.  A fix
+      group stores the lag box t1 x t2 (the distinct lag components on each
+      axis, mod side: {0} x {0} for a zero-lag row pair) as a
+      :class:`LagWindow`, which builds the DFT matrices E1 = E(t1) and
+      E2 = E(t2) once, and its slice pairs split into layers, one per
+      angular offset, in which each slice of either row occurs at most once.
+      A layer's cross-spectra X = A[sa] conj(B[sb]) give the box by two small
+      products, E1^T X E2, so no temporary exceeds one row and no lag plane
+      is transformed.
 
     A group stores its members' edge indices, weights and the positions they
     read in its map: (slice pair, lag index, lag index) for a fix group,
     (diagonal offset, band row, band row) in the (Q, R, R) table for the
-    angular group.  The gradient
-    scatters the cotangents onto that map.  A fix layer's grids become
-    spectra G = E1 grid E2^T and add B conj(G) and A G to Fourier
-    accumulators of the rows, each of which then takes one inverse FFT.  The
-    angular table's cotangents, Fourier transformed along the diagonal
-    offset to Gamma_m, turn each S_m into (conj(Gamma_m) + Gamma_m^T) S_m in
-    place, and one inverse 3-D FFT gives the band rows' accumulators.
+    angular group.  The gradient scatters the cotangents onto that map.  A
+    fix layer's grids become spectra G = E1 grid E2^T and add B conj(G) and
+    A G to Fourier accumulators of the rows.  The angular table's
+    cotangents, Fourier transformed along the diagonal offset to Gamma_m,
+    turn each S_m into (conj(Gamma_m) + Gamma_m^T) S_m in place (without an
+    angular group the band buffer is zeroed), the accumulators are added in,
+    and one inverse FFT per buffer gives the gradient plane of every slice.
     """
 
     def __init__(self, edges, spec, bank):
@@ -239,10 +232,19 @@ class EdgeComputer:
         self.Q = spec.Q
         self.rows = list(dict.fromkeys(
             slice_of(c, k)[0] for e in self.edges for (c, k) in ((e.ch, e.k), (e.ch2, e.k2))))
-        rotated = self.group.rotations and self.Q > 1
-        # band row -> its index in the angular buffer (empty without rotations)
-        self.band_rows = {rk: r for r, rk in enumerate(
-            rk for rk in self.rows if rotated and rk[0] != LOWPASS)}
+        band = [rk for rk in self.rows if rk[0] != LOWPASS]
+        low = [rk for rk in self.rows if rk[0] == LOWPASS]
+        # row -> (buffer, row index): buffer 0 holds the band rows, 1 the low-pass rows
+        self.slot = {rk: (0, r) for r, rk in enumerate(band)}
+        self.slot.update((rk, (1, r)) for r, rk in enumerate(low))
+        # (channel, k) of each slice of a row
+        self.keys = {(row, k): [(ch, k) for ch in row_channels(row, self.Q)]
+                     for (row, k) in self.rows}
+        self.shapes = ((self.Q, len(band)), (1, len(low)))
+        self.rotated = self.group.rotations and self.Q > 1
+        # FFT axes of each buffer, and the slices of a row that lag windows read
+        self.axes = ((0, 2, 3) if self.rotated else (2, 3), (2, 3))
+        self.view = slice(0, 1) if self.rotated else slice(None)
         self.sign_factor = np.array(
             [0.0 if self.group.sign_change and (e.k + e.k2) % 2 == 1 else 1.0 for e in self.edges])
         self._index_terms()
@@ -253,7 +255,8 @@ class EdgeComputer:
         the angular table, and a low-pass x band term the band row's m = 0
         slice; every other term joins the fix group of its row pair.  Flat
         lists, not one object per term, keep set-up memory flat."""
-        Q, n, group, band = self.Q, self.bank.side, self.group, self.band_rows
+        Q, n, group = self.Q, self.bank.side, self.group
+        band = {rk: r for rk, (b, r) in self.slot.items() if b == 0 and self.rotated}
         terms = {}  # (row_a, row_b) -> flat runs of (edge index, weight, sa, sb, t1, t2)
         angular = []  # flat runs of (edge index, weight, diagonal offset, band row a, band row b)
         for idx, e in enumerate(self.edges):
@@ -284,27 +287,39 @@ class EdgeComputer:
                      for (w, c) in terms for eta in range(self.Q)]
         return terms
 
+    def _slices(self, spectra, rk):
+        """The slices of row ``rk`` that lag windows read, a view of its buffer."""
+        b, r = self.slot[rk]
+        return spectra[b][self.view, r]
+
     # ----- field-dependent quantities -------------------------------------
 
-    def harmonic_rows(self, x):
-        """Harmonic fields per row (:class:`Rows`) and the channel fields."""
-        fields = channel_fields(x, self.bank)
-        buf = None
-        if self.band_rows:
-            buf = np.empty((self.Q, len(self.band_rows)) + np.shape(x), dtype=complex)
-            for (row, k), r in self.band_rows.items():
-                for ell in range(self.Q):
-                    buf[ell, r] = phase_harmonic(fields[(row, ell)], k)
-        stack = {(row, k): buf[:, self.band_rows[(row, k)]] if (row, k) in self.band_rows
-                 else harmonic_stack(fields, row, k, self.Q) for (row, k) in self.rows}
-        return Rows(stack, buf), fields
+    def harmonic_rows(self, x, means=None):
+        """Centered spectra of every harmonic row of ``x`` (:class:`Rows`),
+        the means they are centered on, and the channel fields.
 
-    def raw_means(self, rows):
-        means = {}
-        for (row, k), h in rows.stack.items():
-            for ch, m in zip(row_channels(row, self.Q), h.mean(axis=(1, 2))):
-                means[(ch, k)] = complex(m)
-        return means
+        Both buffers are filled with the harmonic fields and transformed in
+        place; the raw slice means are then their DC bins.  With ``means``
+        None they are averaged over the channel orbit
+        (:meth:`averaged_means`); the means are subtracted at the DC bins.
+        Under rotations the band buffer is last transformed along the angle.
+        """
+        fields = channel_fields(x, self.bank)
+        rows = Rows(*(np.empty(s + np.shape(x), dtype=complex) for s in self.shapes))
+        for rk, (b, r) in self.slot.items():
+            for s, (ch, k) in enumerate(self.keys[rk]):
+                rows[b][s, r] = phase_harmonic(fields[ch], k)
+        for buf in rows:
+            np.fft.fft2(buf, norm="forward", out=buf)
+        if means is None:
+            means = self.averaged_means({
+                vk: complex(m) for rk, (b, r) in self.slot.items()
+                for vk, m in zip(self.keys[rk], rows[b][:, r, 0, 0])})
+        for rk, (b, r) in self.slot.items():
+            rows[b][:, r, 0, 0] -= [means[vk] for vk in self.keys[rk]]
+        if self.rotated:
+            np.fft.fft(rows.band, axis=0, norm="forward", out=rows.band)
+        return rows, means, fields
 
     def averaged_means(self, raw):
         """Group-average the translation means over the channel orbit."""
@@ -317,24 +332,6 @@ class EdgeComputer:
                 acc = 0.0 if k % 2 == 1 else acc
             out[(ch, k)] = acc
         return out
-
-    def centered_rows(self, rows, means):
-        """Spectra of the centered rows (:class:`Rows`): fft2 of every slice of
-        a low-pass row (and of every row without rotations), and one 3-D FFT
-        over angle and space of the band buffer, done in place, so ``rows``
-        is used up."""
-        spectra, buf = {}, rows.angular
-        for (row, k), h in rows.stack.items():
-            m = [means[(ch, k)] for ch in row_channels(row, self.Q)]
-            if (row, k) in self.band_rows:
-                h -= np.asarray(m)[:, None, None]
-            else:
-                spectra[(row, k)] = centered_spectra(h, m)
-        if buf is not None:
-            np.fft.fftn(buf, axes=(0, 2, 3), norm="forward", out=buf)
-            for rk, r in self.band_rows.items():
-                spectra[rk] = buf[0, r:r + 1]
-        return Rows(spectra, buf)
 
     def angular_table(self, s):
         """(Q, R, R) table, for each diagonal offset delta and band row pair,
@@ -349,33 +346,28 @@ class EdgeComputer:
         return np.fft.fft(c, axis=0)
 
     def edge_values(self, spectra):
-        """All edge covariances from :meth:`centered_rows` output."""
+        """All edge covariances from :meth:`harmonic_rows` spectra."""
         vals = np.zeros(len(self.edges), dtype=complex)
         for key, g in self.pair_groups.items():
             if key[0] == "angular":
-                t = self.angular_table(spectra.angular)
+                t = self.angular_table(spectra.band)
             else:
-                a, b = spectra.stack[key[1]], spectra.stack[key[2]]
+                a, b = self._slices(spectra, key[1]), self._slices(spectra, key[2])
                 t = np.concatenate([g.window.correlations(_cross_spectra(a, b, layer))
                                     for layer in g.layers])
             np.add.at(vals, g.idx, g.w * t[g.pos])
         return vals * self.sign_factor
 
     def diagonals(self, spectra):
-        """Own-diagonal K(v, v) per vertex class (group averaged).  Under
-        rotations a band slice's power is read as its row's rotation average,
-        the m = 0 diagonal of the angular table, which is all the orbit
-        average of a band channel sees."""
+        """Own-diagonal K(v, v) per vertex class (group averaged).  Slice
+        powers are read by Parseval over each buffer's FFT axes: under
+        rotations a band row's powers summed over m are its rotation average,
+        which is all the orbit average of a band channel sees."""
         power = {}
-        for (row, k), s in spectra.stack.items():
-            if (row, k) not in self.band_rows:
-                for ch, p in zip(row_channels(row, self.Q), slice_power(s)):
-                    power[(ch, k)] = float(p)
-        if self.band_rows:
-            mean_power = np.real(self.angular_table(spectra.angular)[0].diagonal())
-            for (row, k), p in zip(self.band_rows, mean_power):
-                for ch in row_channels(row, self.Q):
-                    power[(ch, k)] = float(p)
+        for rk, (b, r) in self.slot.items():
+            # one power per slice, or one summed over m for all the row's slices
+            p = np.sum(np.abs(spectra[b][:, r:r + 1]) ** 2, axis=self.axes[b]).ravel()
+            power.update(zip(self.keys[rk], np.broadcast_to(p, len(self.keys[rk])).tolist()))
         diag = {}
         for e in self.edges:
             for (ch, k) in ((e.ch, e.k), (e.ch2, e.k2)):
@@ -391,51 +383,56 @@ class EdgeComputer:
         cotangent lag grid of a fix group's slice pair, the slices gain
         P_a(w) = (1/d) sum_du g(du) conj(b(w+du)) and
         P_b(w) = (1/d) sum_du conj(g(du)) conj(a(w-du)),
-        accumulated as B conj(G) and A G, G = E1 g E2^T, and inverted once per
-        row.  The angular table's cotangents Gamma, Fourier transformed along
-        the diagonal offset, turn S_m into (conj(Gamma_m) + Gamma_m^T) S_m,
-        the m = 0 slice gains the low-pass x band accumulators, and one
-        inverse 3-D FFT over angle and space inverts all band rows (``spectra``
-        is used up).
+        accumulated as B conj(G) and A G, G = E1 g E2^T.  The angular table's
+        cotangents Gamma, Fourier transformed along the diagonal offset, turn
+        S_m into (conj(Gamma_m) + Gamma_m^T) S_m; without an angular group the
+        band buffer is zeroed, and the low-pass buffer always is.  Each
+        accumulator is then added into its row's slices, and one inverse FFT
+        per buffer over its FFT axes inverts every row (``spectra`` is used
+        up).
         """
         n = self.bank.side
-        s = spectra.angular
-        acc = {rk: np.zeros_like(a) for rk, a in spectra.stack.items()}
+        acc = {}
         cot = cot * self.sign_factor
-        gamma = np.zeros((self.Q,) + (len(self.band_rows),) * 2)
+        gamma = None
         for key, g in self.pair_groups.items():
             grid = np.zeros(g.shape, dtype=complex)
             np.add.at(grid, g.pos, cot[g.idx] * g.w)
             if key[0] == "angular":
                 gamma = np.fft.fft(grid, axis=0)
                 continue
-            a, b = spectra.stack[key[1]], spectra.stack[key[2]]
+            a, b = self._slices(spectra, key[1]), self._slices(spectra, key[2])
+            acc_a = acc.setdefault(key[1], np.zeros_like(a))
+            acc_b = acc.setdefault(key[2], np.zeros_like(b))
             win, start = g.window, 0
             for layer in g.layers:
                 ghat = win.spectra(grid[start:start + len(layer)])
                 start += len(layer)
                 for (p, q), gh in zip(layer, ghat):
-                    acc_b = win.tiles(acc[key[2]][q])
-                    acc_b += win.tiles(a[p]) * gh
-                    acc_a = win.tiles(acc[key[1]][p])
-                    acc_a += win.tiles(b[q]) * np.conj(gh)
-        if s is not None:
-            r = len(self.band_rows)
+                    tb = win.tiles(acc_b[q])
+                    tb += win.tiles(a[p]) * gh
+                    ta = win.tiles(acc_a[p])
+                    ta += win.tiles(b[q]) * np.conj(gh)
+        s = spectra.band
+        if gamma is None:
+            s[...] = 0
+        else:
+            r = s.shape[1]
             prod = np.empty((r, s[0].size // r), dtype=complex)
-            for m in range(self.Q):
+            for m in range(len(s)):
                 sm = s[m].reshape(r, -1)
                 np.matmul(np.conj(gamma[m]) + gamma[m].T, sm, out=prod)
                 sm[...] = prod
-            for rk, i in self.band_rows.items():
-                s[0, i] += acc.pop(rk)[0]
-            np.fft.ifftn(s, axes=(0, 2, 3), out=s)
+        spectra.low[...] = 0
+        for rk in list(acc):
+            v = self._slices(spectra, rk)
+            v += acc.pop(rk)
+        for buf, axes in zip(spectra, self.axes):
+            np.fft.ifftn(buf, axes=axes, out=buf)
         # chain through the phase harmonic and back through the filters
-        planes = itertools.chain(
-            ((rk, np.conj(np.fft.ifft2(acc.pop(rk)))) for rk in list(acc)),
-            ((rk, np.conj(s[:, r])) for rk, r in self.band_rows.items()))
         per_channel = {}
-        for (row, k), p in planes:
-            for ch, pe in zip(row_channels(row, self.Q), p):
+        for rk, (b, r) in self.slot.items():
+            for (ch, k), pe in zip(self.keys[rk], np.conj(spectra[b][:, r])):
                 d1, d2 = harmonic_derivative(fields[ch], k)
                 per_channel[ch] = per_channel.get(ch, 0) + (pe * d1 + np.conj(pe) * np.conj(d2))
         total_hat = np.zeros((n, n), dtype=complex)
@@ -493,8 +490,7 @@ def estimate_mean(x, spec, bank, edges=None):
     if edges is None:
         edges = build_foveal_edges(spec)
     comp = EdgeComputer(edges.edges if hasattr(edges, "edges") else edges, spec, bank)
-    rows, _ = comp.harmonic_rows(x)
-    return comp.averaged_means(comp.raw_means(rows))
+    return comp.harmonic_rows(x)[1]
 
 
 def estimate_covariance(x, edges, spec, bank, means=None, source=""):
@@ -505,13 +501,10 @@ def estimate_covariance(x, edges, spec, bank, means=None, source=""):
     """
     edge_list = edges.edges if hasattr(edges, "edges") else list(edges)
     comp = EdgeComputer(edge_list, spec, bank)
-    rows, _ = comp.harmonic_rows(x)
-    if means is None:
-        means = comp.averaged_means(comp.raw_means(rows))
-    centered = comp.centered_rows(rows, means)
-    vals = comp.edge_values(centered)
+    spectra, means, _ = comp.harmonic_rows(x, means)
+    vals = comp.edge_values(spectra)
     cov = {e.key(): complex(v) for e, v in zip(edge_list, vals)}
-    diag = comp.diagonals(centered)
+    diag = comp.diagonals(spectra)
     return CovarianceTable(means=dict(means), cov=cov, diag=diag, group=spec.group, source=source)
 
 
@@ -726,8 +719,9 @@ def gaussianity_report(fields, bank, threshold=0.05):
     frequency-aligned since 2*2^-j = 2^-(j-1) with the direction flipped by
     k' = -1, and with disjoint angular half-planes.  Opposite-angle pairs at
     equal k are never used: those channels are complex conjugates of each
-    other, not independent evidence.  Each scale's values are read off one
-    Gram matrix of the rows (j, 2) and (j-1, -1).
+    other, not independent evidence.  Each value is the lag-zero
+    correlation of a slice of row (j, 2) with its partner slice of row
+    (j-1, -1), read off their spectra by Parseval.
     """
     fields = [fields] if isinstance(fields, np.ndarray) else list(fields)
     ratios = sparsity_ratios(fields, bank)
@@ -747,7 +741,7 @@ def gaussianity_report(fields, bank, threshold=0.05):
         for j in sorted({j for (j, _) in vals}):
             a = centered_spectra(harmonic_stack(chans, j, 2, Q))
             b = centered_spectra(harmonic_stack(chans, j - 1, -1, Q))
-            aligned = zero_lag_gram(a, b)[np.arange(Q), partner]
+            aligned = np.sum(a * np.conj(b[partner]), axis=(1, 2))
             denom = np.sqrt(slice_power(a) * slice_power(b)[partner])
             for ell in range(Q):
                 if (j, ell) in vals and denom[ell] != 0:

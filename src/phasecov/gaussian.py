@@ -106,20 +106,6 @@ class GaussianDual:
                 j += 1
         return betas
 
-    def canonical_targets(self, table_cov):
-        """Align a {edge key: value} covariance mapping with the canonical list."""
-        out = np.empty(self.n_edges, dtype=complex)
-        for i, e in enumerate(self.edges):
-            key = e.key()
-            rev = (e.ch2, 1, e.ch, 1, (-e.du[0], -e.du[1]))
-            if key in table_cov:
-                out[i] = table_cov[key]
-            elif rev in table_cov:
-                out[i] = np.conj(table_cov[rev])
-            else:
-                raise ConfigError(f"no target covariance for edge {key}")
-        return out
-
     def denominator(self, betas):
         """1/P(w) assembled over the full Hermitian edge set."""
         denom = np.zeros((self.side, self.side))

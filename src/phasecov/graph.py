@@ -170,9 +170,6 @@ class EdgeSet:
     def __len__(self):
         return len(self.edges)
 
-    def ratio(self, d):
-        return len(self.edges) / d
-
     def vertex_classes(self):
         seen = {}
         for e in self.edges:

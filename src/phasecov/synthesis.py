@@ -33,7 +33,6 @@ class SynthesisTarget:
     ref_values: np.ndarray      # reference covariances per edge
     scales: np.ndarray          # sqrt(D(v) D(v')) per edge
     means: dict                 # frozen reference means
-    diag: dict                  # reference diagonal per vertex class
     sigma2: float               # white-noise variance bound for x0
 
 
@@ -44,11 +43,9 @@ def build_target(xbar, spec, bank=None):
         bank = build_bump_bank(xbar.shape[0], spec.J, spec.Q)
     edges = build_foveal_edges(spec)
     comp = EdgeComputer(edges.edges, spec, bank)
-    rows, _ = comp.harmonic_rows(xbar)
-    means = comp.averaged_means(comp.raw_means(rows))
-    centered = comp.centered_rows(rows, means)
-    ref_values = comp.edge_values(centered)
-    diag = comp.diagonals(centered)
+    spectra, means, _ = comp.harmonic_rows(xbar)
+    ref_values = comp.edge_values(spectra)
+    diag = comp.diagonals(spectra)
     scales = np.empty(len(comp.edges))
     for i, e in enumerate(comp.edges):
         dv = diag[(e.ch, e.k)]
@@ -59,16 +56,15 @@ def build_target(xbar, spec, bank=None):
     sigma2 = float(np.var(xbar))
     return SynthesisTarget(
         spec=spec, bank=bank, computer=comp, ref_values=ref_values,
-        scales=scales, means=means, diag=diag, sigma2=sigma2,
+        scales=scales, means=means, sigma2=sigma2,
     )
 
 
 def objective(x, target):
     """Microcanonical loss of ``x`` against the frozen reference."""
     comp = target.computer
-    rows, _ = comp.harmonic_rows(np.asarray(x, dtype=float))
-    centered = comp.centered_rows(rows, target.means)
-    vals = comp.edge_values(centered)
+    spectra, _, _ = comp.harmonic_rows(np.asarray(x, dtype=float), target.means)
+    vals = comp.edge_values(spectra)
     res = (vals - target.ref_values) / target.scales
     return float(np.sum(np.abs(res) ** 2))
 
@@ -82,14 +78,12 @@ def objective_gradient(x, target):
 def value_and_grad(x, target):
     comp = target.computer
     x = np.asarray(x, dtype=float)
-    rows, fields = comp.harmonic_rows(x)
-    centered = comp.centered_rows(rows, target.means)
-    del rows  # the centered spectra replace the spatial rows
-    vals = comp.edge_values(centered)
+    spectra, _, fields = comp.harmonic_rows(x, target.means)
+    vals = comp.edge_values(spectra)
     res = (vals - target.ref_values) / target.scales
     f = float(np.sum(np.abs(res) ** 2))
     cot = np.conj(res) / target.scales  # dF/dK(e)
-    grad = comp.gradient_fields(centered, fields, cot)
+    grad = comp.gradient_fields(spectra, fields, cot)
     return f, grad
 
 

@@ -92,6 +92,26 @@ class TestMeans:
                 direct += abs(fields[ch][u1, u2])
         assert means[(ch, 0)] == pytest.approx(direct / 256, rel=1e-12)
 
+    def test_means_under_rotations_and_reflections_match_spatial_orbit_means(self):
+        # rotations and both reflections relabel a band channel onto every
+        # angle of its scale, so its orbit mean is the plain average of the
+        # spatial means of all Q angles
+        group = SymmetryGroup(rotations=True, line_reflection=True, central_reflection=True)
+        spec = model_preset("D", J=2, Q=4, group=group)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        x = white_noise(16, 1.0, 2) + 0.5
+        edges = [Edge((1, 1), 1, (2, 3), 2, (0, 0)), Edge((1, 0), 0, LOWPASS, 1, (0, 0)),
+                 Edge((2, 2), 0, (2, 0), 0, (0, 0)), Edge(LOWPASS, 2, LOWPASS, 2, (1, 0))]
+        means = estimate_mean(x, spec, bank, edges)
+        fields = channel_fields(x, bank)
+        assert set(means) == {(ch, k) for (row, k) in [(1, 1), (2, 2), (1, 0), (2, 0)]
+                              for ch in [(row, ell) for ell in range(4)]} | {
+                                  (LOWPASS, 1), (LOWPASS, 2)}
+        for (ch, k), m in means.items():
+            orbit = [LOWPASS] if ch == LOWPASS else [(ch[0], ell) for ell in range(4)]
+            ref = np.mean([np.mean(phase_harmonic(fields[c], k)) for c in orbit])
+            assert abs(m - ref) < 1e-12 * max(1.0, abs(ref)), (ch, k)
+
 
 class TestCovariance:
     def test_matches_brute_force_orbit(self):
@@ -218,16 +238,35 @@ def spatial_reference(comp, x, means, cot):
     return vals * comp.sign_factor, 2.0 * np.real(np.fft.fft2(total_hat))
 
 
+def spatial_diagonals(comp, x, means):
+    """Own-diagonal K(v, v) of each vertex class by direct spatial means of
+    |h - mean|^2 over the channel orbit, rotations expanded."""
+    fields = channel_fields(x, comp.bank)
+    Q, out = comp.Q, {}
+    for (ch, k) in means:
+        orbit = [(w, c) for (w, c, _, _) in edge_orbit_terms(ch, ch, (0, 0), comp.group, Q)]
+        if comp.group.rotations and ch != LOWPASS:
+            orbit = [(w / Q, (c[0], (c[1] + eta) % Q)) for (w, c) in orbit for eta in range(Q)]
+        out[(ch, k)] = sum(w * np.mean(np.abs(phase_harmonic(fields[c], k) - means[(c, k)]) ** 2)
+                           for (w, c) in orbit)
+    return out
+
+
+def assert_diagonals_match(diag, ref):
+    for vk, val in diag.items():
+        assert val == pytest.approx(ref[vk], rel=1e-12), vk
+
+
 def assert_matches_spatial_reference(comp, x, seed):
-    """Edge values and the gradient for random cotangents against
-    :func:`spatial_reference`, both to 1e-12 relative."""
-    rows, fields = comp.harmonic_rows(x)
-    means = comp.averaged_means(comp.raw_means(rows))
-    centered = comp.centered_rows(rows, means)
+    """Edge values, diagonals and the gradient for random cotangents against
+    :func:`spatial_reference` and :func:`spatial_diagonals`, all to 1e-12
+    relative."""
+    spectra, means, fields = comp.harmonic_rows(x)
     cot = np.random.default_rng(seed).standard_normal((len(comp.edges), 2)) @ [1, 1j]
     ref_vals, ref_grad = spatial_reference(comp, x, means, cot)
-    vals = comp.edge_values(centered)
-    grad = comp.gradient_fields(centered, fields, cot)
+    vals = comp.edge_values(spectra)
+    assert_diagonals_match(comp.diagonals(spectra), spatial_diagonals(comp, x, means))
+    grad = comp.gradient_fields(spectra, fields, cot)
     assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
     assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
 
@@ -263,10 +302,11 @@ class TestSpectralEngine:
             # lagged and sparse zero-lag row pairs alike read lag windows
             assert kinds == {"fix"}
         x = white_noise(32, np.sqrt(target.sigma2), 41)
-        rows, _ = comp.harmonic_rows(x)
-        vals = comp.edge_values(comp.centered_rows(rows, target.means))
+        spectra = comp.harmonic_rows(x, target.means)[0]
+        vals = comp.edge_values(spectra)
         ref_vals, _ = spatial_reference(comp, x, target.means, np.zeros(len(comp.edges)))
         assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
+        assert_diagonals_match(comp.diagonals(spectra), spatial_diagonals(comp, x, target.means))
         res = (ref_vals - target.ref_values) / target.scales
         ref_f = float(np.sum(np.abs(res) ** 2))
         _, ref_grad = spatial_reference(comp, x, target.means, np.conj(res) / target.scales)
@@ -338,6 +378,30 @@ class TestSpectralEngine:
         assert comp.pair_groups[("fix", (1, 1), (2, 2))].shape == (16, 1, 1)
         assert_matches_spatial_reference(comp, white_noise(16, 1.0, 50), 51)
 
+    @pytest.mark.parametrize("rotations", [False, True])
+    @pytest.mark.parametrize("rows", ["band", "low-pass"])
+    def test_only_band_or_only_low_pass_rows(self, rows, rotations):
+        # one of the two row buffers is empty: no low-pass rows (L = 0) or
+        # no band rows (R = 0)
+        spec = model_preset("D" if rotations else "B", J=2, Q=4)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        if rows == "band":
+            edges = [Edge((1, 0), 1, (1, 1), 1, (0, 0)), Edge((1, 0), 0, (2, 1), 2, (0, 0)),
+                     Edge((2, 3), 2, (2, 0), 1, (0, 0))]
+            edges += [] if rotations else [Edge((1, 2), 1, (1, 0), 1, (2, -1))]
+        else:
+            edges = [Edge(LOWPASS, 1, LOWPASS, 1, (1, 0)), Edge(LOWPASS, 0, LOWPASS, 2, (0, 0)),
+                     Edge(LOWPASS, 2, LOWPASS, 1, (3, -2))]
+        comp = EdgeComputer(edges, spec, bank)
+        kinds = {key[0] for key in comp.pair_groups}
+        if rows == "band":
+            assert comp.shapes == ((4, 4), (1, 0))
+            assert kinds == ({"angular"} if rotations else {"fix"})
+        else:
+            assert comp.shapes == ((4, 0), (1, 3))
+            assert kinds == {"fix"}
+        assert_matches_spatial_reference(comp, white_noise(16, 1.0, 52), 53)
+
     @pytest.mark.parametrize("name", ["C", "D"])
     def test_fft_calls_per_gradient(self, name, monkeypatch):
         target = engine_target(name)
@@ -347,19 +411,17 @@ class TestSpectralEngine:
             orig = getattr(np.fft, fn)
             monkeypatch.setattr(np.fft, fn, lambda *a, _f=orig, **kw: calls.append(1) or _f(*a, **kw))
         value_and_grad(white_noise(32, 1.0, 42), target)
-        n_fix = sum(key[0] == "fix" for key in comp.pair_groups)
-        assert len(calls) <= 2 * n_fix + 2 * len(comp.rows) + 2 * len(comp.bank.channels()) + 2
+        # 1 + C for the channel fields, one forward and one inverse transform
+        # per row buffer, 3 along the angle under rotations (the band buffer,
+        # the angular table and its cotangents), C chain transforms and 1 final
+        assert len(calls) <= 2 * len(comp.bank.channels()) + 9
 
     def test_diagonals_match_spatial_power(self):
         target = engine_target("C-reflections-sign")
         comp = target.computer
-        rows, fields = comp.harmonic_rows(white_noise(32, 1.0, 43))
-        diag = comp.diagonals(comp.centered_rows(rows, target.means))
-        for (ch, k), val in diag.items():
-            orbit = [(w, c) for (w, c, _, _) in edge_orbit_terms(ch, ch, (0, 0), comp.group, comp.Q)]
-            ref = sum(w * np.mean(np.abs(phase_harmonic(fields[c], k) - target.means[(c, k)]) ** 2)
-                      for (w, c) in orbit)
-            assert val == pytest.approx(ref, rel=1e-12)
+        x = white_noise(32, 1.0, 43)
+        spectra, _, _ = comp.harmonic_rows(x, target.means)
+        assert_diagonals_match(comp.diagonals(spectra), spatial_diagonals(comp, x, target.means))
 
 
 class TestOrbitInvariance:

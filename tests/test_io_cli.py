@@ -433,6 +433,16 @@ class TestCli:
         path, _ = self._field(tmp_path)
         assert main(["cov", str(path)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["cov", "x.phkf", "--threads", "2"], ["cov", "x.phkf", "--seed", "1"],
+        ["gauss-fit", "x.phkf", "--restarts", "2"], ["spectrum", "x.phkf", "--config", "c.json"],
+        ["gauss-sample", "s.phkf", "--config", "c.json"], ["export", "x.phkf", "--seed", "1"]])
+    def test_flags_a_command_does_not_read_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_input_file_is_io_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})
         assert main(["cov", str(tmp_path / "missing.phkf"), "--config", cfg]) == 4
@@ -564,7 +574,7 @@ class TestCli:
         meta = json.loads((out / "fit.json").read_text())
         assert meta["converged"] is False and meta["constraint_error"] == 2e-2
 
-    def test_eval_outputs(self, tmp_path):
+    def test_eval_outputs(self, tmp_path, capsys):
         refdir = tmp_path / "ref"
         moddir = tmp_path / "mod"
         refdir.mkdir()
@@ -579,6 +589,8 @@ class TestCli:
         out = tmp_path / "eval"
         assert main(["eval", str(refdir), str(moddir), "--config", cfg,
                      "--out", str(out)]) == 0
+        # the window that ran: the CLI defaults, 2 * 4 * 2 * 9 band + 9 low-pass vertices
+        assert "(window k_lo=0 k_hi=2 delta_n=1, |V|=153)" in capsys.readouterr().out
         errors = (out / "errors.csv").read_text().splitlines()
         assert errors[0] == "metric,j,q,mean,std"
         assert len(errors) == 1 + 2 + 1 * 2  # model, empirical + (j, q) grid
