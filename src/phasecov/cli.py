@@ -70,6 +70,15 @@ def cmd_cov(args):
     sys.stdout.write(text)
 
 
+def _require_converged(state):
+    """Exit 3 (after the caller wrote its outputs) on a failed dual fit."""
+    if not state.feasible:
+        raise NumericalError("fitted dual state is infeasible")
+    if not state.converged:
+        raise NumericalError(
+            f"Gaussian dual fit did not converge (constraint error {state.constraint_error:.3e})")
+
+
 def cmd_synth(args):
     xbar = _read_real_field(args.input)
     spec, cfg = _load_spec(args, side=xbar.shape[0])
@@ -79,6 +88,8 @@ def cmd_synth(args):
         if args.restarts < 1:
             raise ConfigError("--restarts must be >= 1")
         spec.optimizer.restarts = args.restarts
+    if args.threads < 1:
+        raise ConfigError("--threads must be >= 1")
     out = _outdir(args)
     if spec.name.upper() == "A":
         bank = build_bump_bank(xbar.shape[0], spec.J, spec.Q)
@@ -94,8 +105,9 @@ def cmd_synth(args):
             f"model A: dual constraint error {state.constraint_error:.3e}, "
             f"{count} samples\n"
         )
+        _require_converged(state)
         return
-    result = synthesize(xbar, spec, workers=max(1, args.threads))
+    result = synthesize(xbar, spec, workers=args.threads)
     for i, s in enumerate(result.samples):
         pio.write_field(out / f"sample_{i:03d}.phkf", s)
     rows = [
@@ -134,11 +146,7 @@ def cmd_gauss_fit(args):
         f"gauss-fit: constraint error {state.constraint_error:.3e} "
         f"(converged={state.converged})\n"
     )
-    if not state.feasible:
-        raise NumericalError("fitted dual state is infeasible")
-    if not state.converged:
-        raise NumericalError(
-            f"Gaussian dual fit did not converge (constraint error {state.constraint_error:.3e})")
+    _require_converged(state)
 
 
 def cmd_gauss_sample(args):

@@ -11,16 +11,17 @@ Every correlation is read off the spectra of centered harmonic rows.  A row
 stacks the harmonic fields of one scale's Q angles (or of the low-pass
 alone) at one exponent k; a slice is one angle of it.  A slice's spectrum
 scaled by 1/d holds its translation mean in the DC bin, so centering a slice
-changes that one bin.  Three primitives work on these spectra:
+changes that one bin.  :meth:`EdgeComputer.harmonic_rows` alone builds,
+transforms and centers rows, in two buffers per field, and every reader
+takes its slices from there.  Three primitives work on these spectra:
 :func:`lag_correlations`, one FFT of the cross-spectrum A conj(B) of two
 slices for all their lags; :class:`LagWindow`, the same correlations on a
 box t1 x t2 of lags only, by two small DFT products E1^T (A conj(B)) E2;
-and Parseval's identity, sum_w A(w) conj(B(w)), at lag zero.
-:class:`EdgeComputer` holds all rows of a field in two buffers transformed
-in place and reads lag windows, and under rotations the circulant diagonal
-sums of the angular Gram matrices of all band rows at once, from them;
-:func:`gaussianity_report` pairs slices at lag zero and
-:mod:`phasecov.evaluation` reads its lag maps with :func:`lag_correlations`.
+and Parseval's identity, sum_w A(w) conj(B(w)), at lag zero.  Synthesis and
+the tables read lag windows, and under rotations the angular Gram diagonal
+sums of all band rows at once; :func:`gaussianity_report` reads zero-lag
+edges and :mod:`phasecov.evaluation` full lag maps (:func:`lag_correlations`),
+each from a translation-only computer.
 
 Further group flags act by channel relabeling (never by image resampling):
 rotations shift the angular index of both vertices (valid for edges at a
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .graph import SymmetryGroup
+from .graph import Edge, ModelSpec, SymmetryGroup
 from .harmonics import harmonic_derivative, phase_harmonic
 from .wavelets import LOWPASS, channel_fields
 
@@ -62,20 +63,6 @@ def slice_of(ch, k):
 def row_channels(row, Q):
     """Channels stacked in a row, in slice order."""
     return [LOWPASS] if row == LOWPASS else [(row, ell) for ell in range(Q)]
-
-
-def harmonic_stack(chans, row, k, Q):
-    """Harmonic fields [chans[ch]]^k of a row's channels, stacked (slices, N, N)."""
-    return np.stack([phase_harmonic(chans[ch], k) for ch in row_channels(row, Q)])
-
-
-def centered_spectra(h, means=None):
-    """Spectra fft2(h - mean) / d of each slice of a stacked row, centered on
-    ``means`` (by default each slice's own spatial mean).  With the 1/d,
-    Parseval reads (1/d) sum_u a(u) conj(b(u)) = sum_w A(w) conj(B(w))."""
-    if means is None:
-        means = h.mean(axis=(1, 2))
-    return np.fft.fft2(h - np.asarray(means)[:, None, None], norm="forward")
 
 
 def lag_correlations(a, b):
@@ -127,11 +114,6 @@ class LagWindow:
         m, _, l2 = grid.shape
         n1, n = self.e1.shape[0], self.e2.shape[0]
         return (np.matmul(self.e1, grid).reshape(m * n1, l2) @ self.e2.T).reshape(m, n1, n)
-
-
-def slice_power(s):
-    """Mean |h|^2 of each centered slice of a row, from its spectra (Parseval)."""
-    return np.sum(np.abs(s) ** 2, axis=(1, 2))
 
 
 def _rotate(ch, eta, Q):
@@ -226,12 +208,13 @@ class EdgeComputer:
             for ch in (e.ch, e.ch2):
                 if ch not in valid:
                     raise ConfigError(f"edge references unknown channel {ch!r}")
-        self.spec = spec
         self.bank = bank
         self.group = spec.group
         self.Q = spec.Q
-        self.rows = list(dict.fromkeys(
-            slice_of(c, k)[0] for e in self.edges for (c, k) in ((e.ch, e.k), (e.ch2, e.k2))))
+        # vertex classes (channel, k), then the rows holding them, in edge order
+        self.classes = list(dict.fromkeys(
+            vk for e in self.edges for vk in ((e.ch, e.k), (e.ch2, e.k2))))
+        self.rows = list(dict.fromkeys(slice_of(*vk)[0] for vk in self.classes))
         band = [rk for rk in self.rows if rk[0] != LOWPASS]
         low = [rk for rk in self.rows if rk[0] == LOWPASS]
         # row -> (buffer, row index): buffer 0 holds the band rows, 1 the low-pass rows
@@ -240,6 +223,8 @@ class EdgeComputer:
         # (channel, k) of each slice of a row
         self.keys = {(row, k): [(ch, k) for ch in row_channels(row, self.Q)]
                      for (row, k) in self.rows}
+        # the channel fields the rows stack
+        self.channels = list(dict.fromkeys(ch for rk in self.rows for (ch, _) in self.keys[rk]))
         self.shapes = ((self.Q, len(band)), (1, len(low)))
         self.rotated = self.group.rotations and self.Q > 1
         # FFT axes of each buffer, and the slices of a row that lag windows read
@@ -287,7 +272,7 @@ class EdgeComputer:
                      for (w, c) in terms for eta in range(self.Q)]
         return terms
 
-    def _slices(self, spectra, rk):
+    def slices(self, spectra, rk):
         """The slices of row ``rk`` that lag windows read, a view of its buffer."""
         b, r = self.slot[rk]
         return spectra[b][self.view, r]
@@ -296,7 +281,8 @@ class EdgeComputer:
 
     def harmonic_rows(self, x, means=None):
         """Centered spectra of every harmonic row of ``x`` (:class:`Rows`),
-        the means they are centered on, and the channel fields.
+        the means they are centered on, and the channel fields the rows
+        stack (only those are computed).
 
         Both buffers are filled with the harmonic fields and transformed in
         place; the raw slice means are then their DC bins.  With ``means``
@@ -304,7 +290,7 @@ class EdgeComputer:
         (:meth:`averaged_means`); the means are subtracted at the DC bins.
         Under rotations the band buffer is last transformed along the angle.
         """
-        fields = channel_fields(x, self.bank)
+        fields = channel_fields(x, self.bank, self.channels)
         rows = Rows(*(np.empty(s + np.shape(x), dtype=complex) for s in self.shapes))
         for rk, (b, r) in self.slot.items():
             for s, (ch, k) in enumerate(self.keys[rk]):
@@ -352,7 +338,7 @@ class EdgeComputer:
             if key[0] == "angular":
                 t = self.angular_table(spectra.band)
             else:
-                a, b = self._slices(spectra, key[1]), self._slices(spectra, key[2])
+                a, b = self.slices(spectra, key[1]), self.slices(spectra, key[2])
                 t = np.concatenate([g.window.correlations(_cross_spectra(a, b, layer))
                                     for layer in g.layers])
             np.add.at(vals, g.idx, g.w * t[g.pos])
@@ -368,11 +354,8 @@ class EdgeComputer:
             # one power per slice, or one summed over m for all the row's slices
             p = np.sum(np.abs(spectra[b][:, r:r + 1]) ** 2, axis=self.axes[b]).ravel()
             power.update(zip(self.keys[rk], np.broadcast_to(p, len(self.keys[rk])).tolist()))
-        diag = {}
-        for e in self.edges:
-            for (ch, k) in ((e.ch, e.k), (e.ch2, e.k2)):
-                diag[(ch, k)] = sum(w * power[(c, k)] for (w, c) in self._orbit(ch))
-        return diag
+        return {(ch, k): sum(w * power[(c, k)] for (w, c) in self._orbit(ch))
+                for (ch, k) in self.classes}
 
     # ----- objective support ----------------------------------------------
 
@@ -401,7 +384,7 @@ class EdgeComputer:
             if key[0] == "angular":
                 gamma = np.fft.fft(grid, axis=0)
                 continue
-            a, b = self._slices(spectra, key[1]), self._slices(spectra, key[2])
+            a, b = self.slices(spectra, key[1]), self.slices(spectra, key[2])
             acc_a = acc.setdefault(key[1], np.zeros_like(a))
             acc_b = acc.setdefault(key[2], np.zeros_like(b))
             win, start = g.window, 0
@@ -425,7 +408,7 @@ class EdgeComputer:
                 sm[...] = prod
         spectra.low[...] = 0
         for rk in list(acc):
-            v = self._slices(spectra, rk)
+            v = self.slices(spectra, rk)
             v += acc.pop(rk)
         for buf, axes in zip(spectra, self.axes):
             np.fft.ifftn(buf, axes=axes, out=buf)
@@ -719,38 +702,34 @@ def gaussianity_report(fields, bank, threshold=0.05):
     frequency-aligned since 2*2^-j = 2^-(j-1) with the direction flipped by
     k' = -1, and with disjoint angular half-planes.  Opposite-angle pairs at
     equal k are never used: those channels are complex conjugates of each
-    other, not independent evidence.  Each value is the lag-zero
-    correlation of a slice of row (j, 2) with its partner slice of row
-    (j-1, -1), read off their spectra by Parseval.
+    other, not independent evidence.  Each pair is the zero-lag edge
+    ((j, ell), 2, (j-1, ell + Q/2), -1) of a translation-only
+    :class:`EdgeComputer`, normalized by its two diagonals.
     """
     fields = [fields] if isinstance(fields, np.ndarray) else list(fields)
     ratios = sparsity_ratios(fields, bank)
     flags = {c: r < np.pi / 4 - threshold for c, r in ratios.items()}
     Q = bank.Q
-    partner = (np.arange(Q) + Q // 2) % Q
-    vals = {}
+    edges = []
     for j in range(2, bank.J + 1):
         for ell in range(Q):
-            f1 = bank.filter((j, ell))
-            f2 = bank.filter((j - 1, partner[ell]))
+            ch, ch2 = (j, ell), (j - 1, (ell + Q // 2) % Q)
+            f1, f2 = bank.filter(ch), bank.filter(ch2)
             # pairs whose supports overlap are skipped: the test does not apply
             if np.max(np.abs(f1 * f2)) <= 1e-12 * np.max(np.abs(f1)) * np.max(np.abs(f2)):
-                vals[(j, ell)] = []
+                edges.append(Edge(ch, 2, ch2, -1, (0, 0)))
+    comp = EdgeComputer(edges, ModelSpec(J=bank.J, Q=Q), bank)
+    vals = [[] for _ in edges]
     for x in fields:
-        chans = channel_fields(x, bank)
-        for j in sorted({j for (j, _) in vals}):
-            a = centered_spectra(harmonic_stack(chans, j, 2, Q))
-            b = centered_spectra(harmonic_stack(chans, j - 1, -1, Q))
-            aligned = np.sum(a * np.conj(b[partner]), axis=(1, 2))
-            denom = np.sqrt(slice_power(a) * slice_power(b)[partner])
-            for ell in range(Q):
-                if (j, ell) in vals and denom[ell] != 0:
-                    vals[(j, ell)].append(complex(aligned[ell] / denom[ell]))
-    cross = []
-    for (j, ell), v in vals.items():
-        if v:
-            se = (np.std(v) / np.sqrt(len(v))) if len(v) > 1 else None
-            cross.append((((j, ell), 2, (j - 1, int(partner[ell])), -1), complex(np.mean(v)), se))
+        spectra = comp.harmonic_rows(x)[0]
+        diag = comp.diagonals(spectra)
+        for v, e, c in zip(vals, edges, comp.edge_values(spectra)):
+            denom = np.sqrt(diag[(e.ch, e.k)] * diag[(e.ch2, e.k2)])
+            if denom != 0:
+                v.append(complex(c / denom))
+    cross = [((e.ch, e.k, e.ch2, e.k2), complex(np.mean(v)),
+              (np.std(v) / np.sqrt(len(v))) if len(v) > 1 else None)
+             for e, v in zip(edges, vals) if v]
     return GaussianityReport(
         ratios=ratios, flags=flags, cross=cross, threshold=threshold, n_fields=len(fields)
     )

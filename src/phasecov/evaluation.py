@@ -10,10 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import centered_spectra, lag_correlations, row_channels, slice_of
+from .covariance import EdgeComputer, lag_correlations, slice_of
 from .errors import ConfigError, NumericalError
-from .harmonics import phase_harmonic
-from .wavelets import LOWPASS, channel_fields
+from .graph import Edge, ModelSpec
+# not called here: perfbench/layers.py wraps both names in this module
+from .harmonics import phase_harmonic  # noqa: F401
+from .wavelets import LOWPASS, channel_fields  # noqa: F401
 
 
 @dataclass
@@ -52,13 +54,11 @@ class EvalWindow:
         return len(self.vertices(J, Q))
 
 
-def _row_spectra(x, bank, rows):
-    """Spectra of one field's harmonic rows, each slice centered on its own mean."""
-    Q = bank.Q
-    chans = channel_fields(x, bank, list(dict.fromkeys(
-        ch for (row, _) in rows for ch in row_channels(row, Q))))
-    return [centered_spectra(np.stack([phase_harmonic(chans[ch], k)
-                                       for ch in row_channels(row, Q)])) for (row, k) in rows]
+def _row_computer(bank, classes):
+    """Translation-only :class:`EdgeComputer` on the zero-lag self edges of
+    the vertex classes (channel, k), each slice centered on its own mean."""
+    edges = [Edge(ch, k, ch, k, (0, 0)) for (ch, k) in dict.fromkeys(classes)]
+    return EdgeComputer(edges, ModelSpec(J=bank.J, Q=bank.Q), bank)
 
 
 def correlation_matrix(fields, bank, window, ref_diag=None):
@@ -76,14 +76,16 @@ def correlation_matrix(fields, bank, window, ref_diag=None):
     verts = window.vertices(bank.J, bank.Q)
     n = bank.side
     where = [slice_of(ch, k) for (ch, k, _) in verts]
-    rows = list(dict.fromkeys(rk for (rk, _) in where))
+    comp = _row_computer(bank, [(ch, k) for (ch, k, _) in verts])
+    rows = comp.rows
     row = np.array([rows.index(rk) for (rk, _) in where])
     ell = np.array([e for (_, e) in where])
     u = np.array([v[2] for v in verts])
     members = [np.flatnonzero(row == r) for r in range(len(rows))]
     K = np.zeros((len(verts), len(verts)), dtype=complex)
     for x in fields:
-        spectra = _row_spectra(x, bank, rows)
+        spectra = comp.harmonic_rows(x)[0]
+        spectra = [comp.slices(spectra, rk) for rk in rows]
         for ia, va_row in enumerate(members):
             for ib in range(ia, len(rows)):
                 vb = members[ib]
@@ -153,9 +155,10 @@ def long_range_profile(fields, bank, k, j, a_max):
     n = bank.side
     if 2 ** j * a_max >= n // 2:
         raise ConfigError("profile distance beyond the grid half-period")
+    comp = _row_computer(bank, [((j, ell), k) for ell in range(bank.Q)])
     maps = 0.0
     for x in fields:
-        (s,) = _row_spectra(x, bank, [(j, k)])
+        s = comp.slices(comp.harmonic_rows(x)[0], (j, k))
         maps = maps + lag_correlations(s, s)
     maps /= len(fields)
     diag = np.real(maps[:, 0, 0])

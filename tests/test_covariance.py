@@ -5,21 +5,19 @@ from phasecov.covariance import (
     EdgeComputer,
     angular_fourier_reduce,
     channel_center,
-    centered_spectra,
     edge_orbit_terms,
     estimate_covariance,
     estimate_mean,
     fourier_harmonic_covariance,
     gaussianity_report,
     LagWindow,
-    harmonic_stack,
     lag_correlations,
     normalize_correlations,
     sparsity_ratios,
     support_constant,
 )
 from phasecov.errors import ConfigError
-from phasecov.graph import Edge, SymmetryGroup, build_foveal_edges, model_preset
+from phasecov.graph import Edge, ModelSpec, SymmetryGroup, build_foveal_edges, model_preset
 from phasecov.grid import translate, white_noise
 from phasecov.harmonics import harmonic_derivative, phase_harmonic
 from phasecov.synthesis import build_target, value_and_grad
@@ -161,6 +159,16 @@ class TestCovariance:
         bad = [Edge((7, 0), 1, (7, 0), 1, (0, 0))]
         with pytest.raises(ConfigError):
             estimate_covariance(white_noise(16, 1.0, 0), bad, spec, bank)
+
+    @pytest.mark.parametrize("J, Q", [(2, 8), (3, 4)])
+    def test_bank_spec_mismatch_rejected(self, J, Q):
+        spec = tiny_spec()
+        bank = build_bump_bank(16, J, Q)
+        x = white_noise(16, 1.0, 0)
+        with pytest.raises(ConfigError, match="does not match the model spec"):
+            estimate_covariance(x, build_foveal_edges(spec), spec, bank)
+        with pytest.raises(ConfigError, match="does not match the model spec"):
+            build_target(x, spec, bank)
 
     def test_hermitian_pair(self):
         spec = tiny_spec()
@@ -334,9 +342,11 @@ class TestSpectralEngine:
     def test_window_matches_lag_correlations(self, row_a, row_b, t1, t2):
         n, Q = 16, 4
         bank = build_bump_bank(n, 2, Q)
-        chans = channel_fields(white_noise(n, 1.0, 46), bank)
-        a = centered_spectra(harmonic_stack(chans, row_a[0], row_a[1], Q))
-        b = centered_spectra(harmonic_stack(chans, row_b[0], row_b[1], Q))
+        first = [LOWPASS if row == LOWPASS else (row, 0) for (row, _) in (row_a, row_b)]
+        comp = EdgeComputer([Edge(first[0], row_a[1], first[1], row_b[1], (0, 0))],
+                            ModelSpec(J=2, Q=Q), bank)
+        spectra = comp.harmonic_rows(white_noise(n, 1.0, 46))[0]
+        a, b = comp.slices(spectra, row_a), comp.slices(spectra, row_b)
         window = LagWindow(t1, t2, n)
         full = lag_correlations(a, b)
         box = window.correlations(a * np.conj(b))

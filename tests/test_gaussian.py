@@ -3,6 +3,7 @@ import pytest
 
 from phasecov.errors import ConfigError, NumericalError
 from phasecov.gaussian import (
+    CONVERGED_ERROR,
     GaussianDual,
     dual_objective,
     empirical_spectrum,
@@ -139,6 +140,16 @@ class TestFit:
         state = fit_gaussian_from_field(x, spec, bank)
         assert state.feasible
         assert state.constraint_error < 1e-4
+
+    @pytest.mark.parametrize("gtol, converged", [(1e-7, True), (1e3, False)])
+    def test_converged_means_constraint_error_within_tolerance(self, gtol, converged):
+        # a loose gtol stops both L-BFGS and the Newton polish at once
+        side = 32
+        spec = model_preset("A", J=3, Q=4, delta_n=2)
+        bank = build_bump_bank(side, spec.J, spec.Q)
+        state = fit_gaussian_from_field(smooth_gaussian_field(side, 4), spec, bank, gtol=gtol)
+        assert state.feasible
+        assert state.converged == (state.constraint_error <= CONVERGED_ERROR) == converged
 
     def test_infeasible_diagonal_rejected(self):
         side = 8

@@ -533,6 +533,15 @@ class TestCli:
         cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})
         assert main(["synth", str(path), "--config", cfg, "--restarts", "0"]) == 2
 
+    @pytest.mark.parametrize("model, threads", [("B", "0"), ("B", "-5"), ("A", "-5")])
+    def test_synth_threads_below_one_rejected(self, tmp_path, model, threads):
+        path, _ = self._field(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"name": model, "J": 2, "Q": 4}})
+        out = tmp_path / "out"
+        assert main(["synth", str(path), "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == 2
+        assert not out.exists()
+
     def test_synth_model_a_gaussian_route(self, tmp_path):
         path, _ = self._field(tmp_path, side=16, seed=3)
         cfg = write_config(tmp_path / "cfg.json", {
@@ -544,6 +553,20 @@ class TestCli:
         assert (out / "sample_000.phkf").exists()
         assert (out / "spectrum.phkf").exists()
         assert not (out / "losses.csv").exists()  # no optimizer ran
+
+    def test_synth_model_a_not_converged_writes_then_exits_3(self, tmp_path, monkeypatch):
+        path, _ = self._field(tmp_path, side=16, seed=3)
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "A", "J": 2, "Q": 4, "delta_n": 1},
+        })
+        state = GaussianDualState(
+            betas={}, spectrum=np.ones((16, 16)), entropy=1.0, feasible=True, converged=False,
+            constraint_error=2e-2, edge_keys=[], side=16)
+        monkeypatch.setattr(cli, "fit_gaussian_from_field", lambda *args: state)
+        out = tmp_path / "ga"
+        assert main(["synth", str(path), "--config", cfg, "--out", str(out)]) == 3
+        assert np.array_equal(pio.read_field(out / "spectrum.phkf"), state.spectrum)
+        assert (out / "sample_000.phkf").exists()
 
     def test_gauss_fit_and_sample(self, tmp_path):
         path, _ = self._field(tmp_path, side=16, seed=4)
