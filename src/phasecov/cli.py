@@ -17,7 +17,7 @@ from .covariance import estimate_covariance, gaussianity_report, normalize_corre
 from .errors import ConfigError, FormatError, NumericalError
 from .evaluation import EvalWindow, correlation_error, correlation_matrix, structure_error
 from .gaussian import fit_gaussian_from_field, sample_gaussian, GaussianDualState
-from .graph import build_foveal_edges
+from .graph import _require_int, build_foveal_edges
 from .grid import dft2, radial_power_spectrum
 from .synthesis import build_target, synthesize
 from .wavelets import build_bump_bank
@@ -85,9 +85,8 @@ def cmd_synth(args):
     if args.seed is not None:
         spec.optimizer.seed = args.seed
     if args.restarts is not None:
-        if args.restarts < 1:
-            raise ConfigError("--restarts must be >= 1")
         spec.optimizer.restarts = args.restarts
+    spec.optimizer.validate()
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
     out = _outdir(args)
@@ -150,7 +149,12 @@ def cmd_gauss_fit(args):
 
 
 def cmd_gauss_sample(args):
+    seed = args.seed if args.seed is not None else 0
+    _require_int("--seed", seed, 0)
+    _require_int("--count", args.count, 1)
     spectrum = pio.read_field(args.spectrum)
+    if spectrum.ndim != 2 or spectrum.shape[0] != spectrum.shape[1]:
+        raise FormatError(f"{args.spectrum}: expected a square 2D spectrum, got {spectrum.shape}")
     if np.iscomplexobj(spectrum):
         spectrum = np.real(spectrum)
     if np.min(spectrum) < 0:
@@ -159,7 +163,6 @@ def cmd_gauss_sample(args):
         betas={}, spectrum=spectrum, entropy=0.0, feasible=True, converged=True,
         constraint_error=0.0, edge_keys=[], side=spectrum.shape[0],
     )
-    seed = args.seed if args.seed is not None else 0
     samples = sample_gaussian(state, seed, args.count)
     out = _outdir(args)
     for i, s in enumerate(samples):

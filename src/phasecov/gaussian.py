@@ -23,6 +23,9 @@ Model covariances follow from the spectrum by
 which is also how targets are computed from the empirical spectrum of the
 reference field (DC bin removed, which is exactly the mean centering of the
 covariance estimators).
+
+Both sums run per channel pair (v, v') on flat per-edge index arrays, with
+one ``fft2`` per pair; edges that share a lag mod side are summed.
 """
 
 from dataclasses import dataclass
@@ -30,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .graph import build_foveal_edges
+from .grid import white_noise
 from .lbfgs import lbfgs_minimize
 from .wavelets import LOWPASS
 
@@ -69,57 +74,61 @@ class GaussianDual:
     The incoming edges are canonicalized under the Hermitian symmetry
     (v, v') ~ (v', v); self-paired entries carry weight 1 and real
     multipliers, all others weight 2 and complex multipliers.
+
+    Per-edge arrays are built once: ``weights`` (``packed_weights`` in the
+    packed layout), the off-diagonal mask ``off``, the signed lags ``du``
+    and ``ends``, the self edges of each edge's two channels (-1 if absent).
+    ``pairs`` holds per channel pair its edge indices, their lags mod side
+    and psi_hat psi_hat'.  A coarse channel's lags wrap around the grid, so
+    two edges of a pair can share a lag: the scatter sums them (``np.add.at``).
+    Each pair takes one ``fft2``; one stacked transform over all pairs was slower.
     """
 
     def __init__(self, bank, edges):
         self.bank = bank
         self.side = bank.side
         self.d = bank.d
-        canon = {}
-        for e in edges:
-            if e.k != 1 or e.k2 != 1:
-                raise ConfigError("the Gaussian dual uses k = 1 edges only")
-            ch, ch2, du = _canonical(e.ch, e.ch2, e.du)
-            canon[(ch, ch2, du)] = None
-        if not canon:
+        edges = list(edges)
+        if any(e.k != 1 or e.k2 != 1 for e in edges):
+            raise ConfigError("the Gaussian dual uses k = 1 edges only")
+        if not edges:
             raise ConfigError("empty edge set")
-        self.edges = []
-        for (ch, ch2, du) in canon:
-            self_paired = ch == ch2 and du == (0, 0)
-            self.edges.append(_CanonEdge(ch, ch2, du, 1.0 if self_paired else 2.0))
+        canon = dict.fromkeys(_canonical(e.ch, e.ch2, e.du) for e in edges)
+        self.edges = [_CanonEdge(ch, ch2, du, 1.0 if ch == ch2 and du == (0, 0) else 2.0)
+                      for ch, ch2, du in canon]
         self.n_edges = len(self.edges)
+        self.keys = [e.key() for e in self.edges]
         self.weights = np.array([e.weight for e in self.edges])
-        self.is_diag = np.array([e.is_diag for e in self.edges])
-        self.pairs = {}
+        self.is_diag = self.weights == 1.0
+        self.off = ~self.is_diag
+        self.packed_weights = np.concatenate([self.weights, self.weights[self.off]])
+        self.du = np.array([e.du for e in self.edges])
+        by_pair = {}
         for i, e in enumerate(self.edges):
-            self.pairs.setdefault((e.ch, e.ch2), []).append(i)
-        self.filt = {p: bank.filter(p[0]) * bank.filter(p[1]) for p in self.pairs}
+            by_pair.setdefault((e.ch, e.ch2), []).append(i)
+        self.pairs = [(np.array(idx), *(self.du[idx] % self.side).T,
+                       bank.filter(ch) * bank.filter(ch2)) for (ch, ch2), idx in by_pair.items()]
+        diag = {e.ch: i for i, e in enumerate(self.edges) if e.is_diag}
+        self.ends = np.array([[diag.get(e.ch, -1), diag.get(e.ch2, -1)] for e in self.edges])
 
     # packed real parameterization: [Re beta (all edges), Im beta (off-diag)]
     def pack(self, betas):
-        re = np.real(betas)
-        im = [np.imag(b) for b, d in zip(betas, self.is_diag) if not d]
-        return np.concatenate([re, np.array(im)])
+        return np.concatenate([np.real(betas), np.imag(betas[self.off])])
 
     def unpack(self, vec):
         betas = np.array(vec[: self.n_edges], dtype=complex)
-        j = self.n_edges
-        for i in range(self.n_edges):
-            if not self.is_diag[i]:
-                betas[i] += 1j * vec[j]
-                j += 1
+        betas[self.off] += 1j * vec[self.n_edges:]
         return betas
 
     def denominator(self, betas):
         """1/P(w) assembled over the full Hermitian edge set."""
         denom = np.zeros((self.side, self.side))
-        for pair, idxs in self.pairs.items():
+        weighted = self.weights * betas
+        for idx, rows, cols, filt in self.pairs:
             grid = np.zeros((self.side, self.side), dtype=complex)
-            for i in idxs:
-                e = self.edges[i]
-                grid[e.du[0] % self.side, e.du[1] % self.side] += self.weights[i] * betas[i]
+            np.add.at(grid, (rows, cols), weighted[idx])
             phased = np.fft.fft2(grid)  # sum_du beta(du) e^{-i w.du}
-            denom += np.real(self.filt[pair] * phased)
+            denom += np.real(filt * phased)
         return denom
 
     def model_covariances(self, spectrum):
@@ -131,11 +140,8 @@ class GaussianDual:
         out = np.zeros(self.n_edges, dtype=complex)
         masked = spectrum.copy()
         masked[0, 0] = 0.0
-        for pair, idxs in self.pairs.items():
-            a = np.fft.fft2(masked * self.filt[pair])
-            for i in idxs:
-                e = self.edges[i]
-                out[i] = a[e.du[0] % self.side, e.du[1] % self.side]
+        for idx, rows, cols, filt in self.pairs:
+            out[idx] = np.fft.fft2(masked * filt)[rows, cols]
         return out
 
     def objective(self, vec, targets):
@@ -150,27 +156,24 @@ class GaussianDual:
         logdet = float(np.sum(np.log(denom)))  # the DC placeholder adds log 1 = 0
         value = 0.5 * lin - 0.5 * logdet + 0.5 * (self.d - 1) * np.log(2 * np.pi)
         resid = targets - self.model_covariances(spectrum)
-        grad_re = 0.5 * self.weights * np.real(resid)
-        grad_im = np.array(
-            [-0.5 * self.weights[i] * np.imag(resid[i])
-             for i in range(self.n_edges) if not self.is_diag[i]]
-        )
-        return value, np.concatenate([grad_re, grad_im])
+        # d/d(Re, Im beta_e) of the value: (w_e / 2) (Re, -Im) of the residual
+        return value, 0.5 * self.packed_weights * self.pack(np.conj(resid))
 
     def _denominator_jacobian(self):
         """Columns d(denom)/d(theta) over the packed real parameters."""
         n = self.side
         m = np.fft.fftfreq(n) * n
         m1, m2 = np.meshgrid(m, m, indexing="ij")
-        cols_re = []
-        cols_im = []
-        for i, e in enumerate(self.edges):
-            phase = np.exp(-2j * np.pi * (e.du[0] * m1 + e.du[1] * m2) / n)
-            f = self.filt[(e.ch, e.ch2)] * phase
-            cols_re.append(self.weights[i] * np.real(f).ravel())
-            if not e.is_diag:
-                cols_im.append(-self.weights[i] * np.imag(f).ravel())
-        return np.array(cols_re + cols_im).T  # (d, n_params)
+        jac = np.empty((len(self.packed_weights), self.d))
+        im_row = self.n_edges + np.cumsum(self.off) - 1
+        for idx, _, _, filt in self.pairs:
+            du = self.du[idx, :, None, None]
+            f = filt * np.exp(-2j * np.pi * (du[:, 0] * m1 + du[:, 1] * m2) / n)
+            w = self.weights[idx, None, None]
+            jac[idx] = (w * np.real(f)).reshape(len(idx), -1)
+            off = self.off[idx]
+            jac[im_row[idx[off]]] = (-w[off] * np.imag(f[off])).reshape(-1, self.d)
+        return jac.T  # (d, n_params)
 
     def newton_refine(self, vec, targets, tol, max_steps=50):
         """Damped Newton steps on the convex dual.
@@ -255,28 +258,22 @@ def fit_gaussian_model(targets, bank, edges, gtol=1e-7, max_iter=2000, dual=None
     if dual is None:
         dual = GaussianDual(bank, edges)
     targets = np.asarray(targets, dtype=complex)
-    diag_t = {}
-    for i, e in enumerate(dual.edges):
-        if e.is_diag:
-            diag_t[e.ch] = float(np.real(targets[i]))
+    if np.any(dual.ends < 0):
+        raise ConfigError("every channel of the edge set needs its self edge (variance target)")
+    diag_t = np.real(targets)
+    bad = np.flatnonzero(dual.is_diag & (diag_t <= 0))
+    if bad.size:
+        raise ConfigError(f"non-positive diagonal target on {dual.keys[bad[0]]}")
     betas0 = np.zeros(dual.n_edges, dtype=complex)
-    for i, e in enumerate(dual.edges):
-        if e.is_diag:
-            t = diag_t.get(e.ch, 0.0)
-            if t <= 0:
-                raise ConfigError(f"non-positive diagonal target on {e.key()}")
-            betas0[i] = 1.0 / t
+    betas0[dual.is_diag] = 1.0 / diag_t[dual.is_diag]
     vec0 = dual.pack(betas0)
     if not np.isfinite(dual.objective(vec0, targets)[0]):
         raise NumericalError("diagonal initialization is infeasible")
     # diagonal preconditioning: optimize beta_e * sqrt(D_v D_v'), which turns
     # the gradient components into relative constraint residuals
-    scale_edge = np.array([
-        np.sqrt(diag_t.get(e.ch, 1.0) * diag_t.get(e.ch2, 1.0)) for e in dual.edges
-    ])
-    s_pack = np.concatenate([
-        scale_edge, scale_edge[~dual.is_diag]
-    ])
+    ends_t = diag_t[dual.ends]
+    scale = np.sqrt(ends_t[:, 0] * ends_t[:, 1])
+    s_pack = np.concatenate([scale, scale[dual.off]])
 
     def precond_objective(u):
         f, g = dual.objective(u / s_pack, targets)
@@ -298,28 +295,22 @@ def fit_gaussian_model(targets, bank, edges, gtol=1e-7, max_iter=2000, dual=None
     spectrum = 1.0 / np.where(denom > 0, denom, np.inf)
     spectrum[0, 0] = 0.0
     model = dual.model_covariances(spectrum)
-    scale = np.array([
-        np.sqrt(diag_t.get(e.ch, np.inf) * diag_t.get(e.ch2, np.inf))
-        for e in dual.edges
-    ])
     err = float(np.max(np.abs(model - targets) / scale)) if feasible else np.inf
     converged = feasible and err <= CONVERGED_ERROR
     return GaussianDualState(
-        betas={e.key(): complex(b) for e, b in zip(dual.edges, betas)},
+        betas=dict(zip(dual.keys, betas.tolist())),
         spectrum=spectrum,
         entropy=float(_value) if feasible else np.inf,
         feasible=feasible,
         converged=converged,
         constraint_error=err,
-        edge_keys=[e.key() for e in dual.edges],
+        edge_keys=list(dual.keys),
         side=bank.side,
     )
 
 
 def fit_gaussian_from_field(x, spec, bank, edges=None, gtol=1e-7, max_iter=2000):
     """Convenience: targets from a reference field, then the dual fit."""
-    from .graph import build_foveal_edges
-
     if edges is None:
         edges = build_foveal_edges(spec).edges
     dual, targets = wavelet_covariance_targets(x, bank, edges)
@@ -334,8 +325,6 @@ def sample_gaussian(state, seed, count):
     w -> -w (it is symmetric up to optimizer tolerance) to make the samples
     exactly real.
     """
-    from .grid import white_noise
-
     if not state.feasible:
         raise NumericalError("cannot sample from an infeasible dual state")
     side = state.side
@@ -346,5 +335,5 @@ def sample_gaussian(state, seed, count):
     for i in range(count):
         z = white_noise(side, 1.0, (int(seed) + i) % (2 ** 64))
         xhat = amp * np.fft.fft2(z)
-        out.append(np.real(np.fft.ifft2(xhat)))
+        out.append(np.real(np.fft.ifft2(xhat)).copy())  # a view would pin its complex parent
     return out

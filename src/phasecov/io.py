@@ -17,6 +17,7 @@ import math
 import os
 import re
 import struct
+import sys
 
 import numpy as np
 
@@ -327,8 +328,11 @@ def import_pgm(path):
         lo, hi = side["min"], side["max"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise FormatError(f"missing or malformed PGM sidecar: {exc!r}") from exc
-    if not all(type(v) in (int, float) and math.isfinite(v) for v in (lo, hi)) or lo > hi:
+    # abs(v) <= float max is False for NaN, infinities and ints beyond float range
+    if not (all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in (lo, hi))
+            and lo <= hi and hi - lo <= sys.float_info.max):
         raise FormatError(f"PGM sidecar needs finite min <= max, got {lo!r}, {hi!r}")
+    lo, hi = float(lo), float(hi)
     if hi > lo:
         return lo + raw.astype(float) / 65535.0 * (hi - lo)
     return np.full((h, w), lo)

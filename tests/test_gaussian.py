@@ -96,6 +96,72 @@ class TestDualObjective:
             GaussianDual(bank, [Edge((1, 0), 0, (1, 0), 0, (0, 0))])
 
 
+def oracle_dual():
+    """Preset A at side 8, J3/Q4, delta_n = 2, plus one cross-channel pair,
+    with random multipliers that are real on the self-paired edges."""
+    side = 8
+    spec = model_preset("A", J=3, Q=4, delta_n=2)
+    bank = build_bump_bank(side, spec.J, spec.Q)
+    edges = build_foveal_edges(spec).edges + [
+        Edge((1, 0), 1, (1, 1), 1, (1, -2)), Edge((1, 1), 1, (1, 0), 1, (0, 0))]
+    dual = GaussianDual(bank, edges)
+    rng = np.random.default_rng(8)
+    betas = rng.standard_normal(dual.n_edges) + 1j * rng.standard_normal(dual.n_edges) * dual.off
+    return dual, bank, betas
+
+
+def edge_planes(dual, bank):
+    """psi_hat psi_hat' e^{-i w.du} on the grid, one plane per canonical edge."""
+    n = dual.side
+    m = np.fft.fftfreq(n) * n
+    m1, m2 = np.meshgrid(m, m, indexing="ij")
+    return [bank.filter(e.ch) * bank.filter(e.ch2)
+            * np.exp(-2j * np.pi * (e.du[0] * m1 + e.du[1] * m2) / n) for e in dual.edges]
+
+
+class TestDualOracle:
+    """The array maps of the dual against direct per-edge sums."""
+
+    def test_fixture_has_duplicate_lags_and_a_cross_pair(self):
+        # otherwise the oracles below could not catch a scatter that drops
+        # one of two edges sharing a lag mod side
+        dual, _, _ = oracle_dual()
+        assert dual.n_edges == 93
+        dupes = sum(len(rows) - len(set(zip(rows, cols))) for _, rows, cols, _ in dual.pairs)
+        assert dupes > 0
+        assert any(e.ch != e.ch2 for e in dual.edges)
+
+    def test_denominator_matches_per_edge_sum(self):
+        dual, bank, betas = oracle_dual()
+        direct = sum(e.weight * np.real(b * plane)
+                     for e, b, plane in zip(dual.edges, betas, edge_planes(dual, bank)))
+        got = dual.denominator(betas)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_model_covariances_match_per_edge_sum(self):
+        dual, bank, _ = oracle_dual()
+        spectrum = np.random.default_rng(9).random((dual.side, dual.side)) + 0.5
+        off_dc = np.ones_like(spectrum)
+        off_dc[0, 0] = 0.0
+        direct = np.array([np.sum(off_dc * spectrum * plane)
+                           for plane in edge_planes(dual, bank)])
+        got = dual.model_covariances(spectrum)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_jacobian_applied_to_packed_betas_is_denominator(self):
+        # the denominator is linear in the packed parameters
+        dual, _, betas = oracle_dual()
+        lhs = dual._denominator_jacobian() @ dual.pack(betas)
+        rhs = dual.denominator(betas).ravel()
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+    def test_unpack_inverts_pack(self):
+        dual, _, betas = oracle_dual()
+        packed = dual.pack(betas)
+        assert packed.shape == (dual.n_edges + int(np.sum(dual.off)),)
+        assert np.array_equal(dual.unpack(packed), betas)
+
+
 class TestFit:
     def test_variance_only_constraint_gives_flat_spectrum(self):
         # a single total-variance constraint (flat frequency response):
@@ -158,6 +224,13 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit_gaussian_model(np.array([-1.0 + 0j]), bank, edges)
 
+    def test_channel_without_self_edge_rejected(self):
+        # the relative constraint error needs the variance of both channels
+        bank = build_bump_bank(8, 2, 4)
+        edges = [Edge((1, 0), 1, (1, 0), 1, (0, 0)), Edge((1, 0), 1, (1, 1), 1, (0, 0))]
+        with pytest.raises(ConfigError, match="self edge"):
+            fit_gaussian_model(np.array([1.0 + 0j, 0.1 + 0j]), bank, edges)
+
 
 class TestSampler:
     def test_flat_spectrum_gives_white_noise(self):
@@ -200,6 +273,26 @@ class TestSampler:
         state = fit_gaussian_from_field(x, spec, bank)
         for s in sample_gaussian(state, 2, 3):
             assert np.isrealobj(s)
+
+    def test_samples_own_their_memory(self):
+        # np.real of the inverse FFT is a view that would pin its complex
+        # parent, twice the size of the sample
+        from phasecov.gaussian import GaussianDualState
+        import tracemalloc
+
+        side = 32
+        state = GaussianDualState(
+            betas={}, spectrum=np.full((side, side), 1.0), entropy=0.0, feasible=True,
+            converged=True, constraint_error=0.0, edge_keys=[], side=side,
+        )
+        tracemalloc.start()
+        try:
+            samples = sample_gaussian(state, 0, 200)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(s.base is None for s in samples)
+        assert held <= 1.1 * 200 * side * side * 8
 
     def test_infeasible_state_rejected(self):
         from phasecov.gaussian import GaussianDualState

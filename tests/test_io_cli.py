@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -323,6 +324,51 @@ class TestConfig:
         assert cfg["spec"].optimizer.eps_ratio == 0.0
 
 
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.just(10 ** 400)
+    | st.floats(allow_nan=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+def sections(keys, extra=()):
+    """JSON objects over the known ``keys`` (and an unknown one), or any JSON value."""
+    names = st.sampled_from(sorted(keys) + ["bogus"])
+    return st.dictionaries(names, st.one_of(json_values, *extra), max_size=4) | json_values
+
+
+@st.composite
+def config_docs(draw):
+    from phasecov.io import _EVAL_KEYS, _GROUP_KEYS, _MODEL_KEYS, _OPT_KEYS
+
+    names = st.sampled_from(["A", "b", "C", "D", "custom", "Z"])
+    model = sections(_MODEL_KEYS, (names, sections(_GROUP_KEYS)))
+    parts = {"model": model, "optimizer": sections(_OPT_KEYS),
+             "evaluation": sections(_EVAL_KEYS), "seed": json_values,
+             "restarts": json_values, "bogus": json_values}
+    keys = draw(st.lists(st.sampled_from(sorted(parts)), unique=True, max_size=4))
+    doc = {key: draw(parts[key]) for key in keys}
+    return doc if draw(st.booleans()) else draw(st.one_of(st.just(doc), json_values))
+
+
+class TestConfigFuzz:
+    """Generated JSON-like documents: ``parse_config`` returns a validated
+    spec or raises ConfigError, never anything else."""
+
+    @given(doc=config_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_validated_spec_or_config_error(self, doc):
+        try:
+            cfg = pio.parse_config(doc)
+        except ConfigError:
+            return
+        spec = cfg["spec"]
+        spec.validate()
+        spec.optimizer.validate()
+        assert isinstance(cfg["evaluation"], dict)
+
+
 class TestPgm:
     def test_constant_field(self, tmp_path):
         path = tmp_path / "c.pgm"
@@ -379,6 +425,57 @@ class TestPgm:
             side.write_text(sidecar)
         with pytest.raises(FormatError):
             pio.import_pgm(path)
+
+
+FLOAT_MAX = sys.float_info.max  # a Python float: int comparisons stay exact
+
+
+class TestPgmFuzz:
+    """PGM round trips within 16-bit quantization; every truncated file and
+    every sidecar that is not a finite ``min <= max`` raise FormatError."""
+
+    @given(x=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                        elements=st.floats(-1e6, 1e6)))
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_and_every_truncation(self, x, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pgm") / "x.pgm"
+        pio.export_pgm(x, path)
+        back = pio.import_pgm(path)
+        lo, hi = float(x.min()), float(x.max())
+        quantum = (hi - lo) / 65535.0
+        assert back.shape == x.shape
+        slack = 1e-15 * max(abs(lo), abs(hi))  # rounding of lo + raw / 65535 * (hi - lo)
+        assert np.max(np.abs(back - x)) <= 0.5 * quantum * (1 + 1e-9) + slack
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError):
+                pio.import_pgm(path)
+
+    @given(sidecar=st.one_of(
+        st.text(max_size=12),
+        json_values.map(json.dumps),
+        st.fixed_dictionaries({"min": json_values, "max": json_values}).map(json.dumps),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_sidecar_is_valid_or_format_error(self, sidecar, tmp_path_factory):
+        path = tmp_path_factory.mktemp("sidecar") / "s.pgm"
+        pio.export_pgm(np.arange(6.0).reshape(2, 3), path)
+        (path.parent / "s.pgm.json").write_text(sidecar)
+        try:
+            doc = json.loads(sidecar)
+        except ValueError:
+            doc = None
+        bounds = [doc.get(k) for k in ("min", "max")] if isinstance(doc, dict) else [None]
+        in_range = [type(v) in (int, float) and abs(v) <= FLOAT_MAX for v in bounds]
+        if all(in_range) and bounds[0] <= bounds[1] and bounds[1] - bounds[0] <= FLOAT_MAX:
+            back = pio.import_pgm(path)
+            tol = 1e-12 * max(abs(v) for v in bounds)
+            assert back.dtype == np.float64
+            assert abs(back.min() - bounds[0]) <= tol and abs(back.max() - bounds[1]) <= tol
+        else:
+            with pytest.raises(FormatError):
+                pio.import_pgm(path)
 
 
 class TestCsv:
@@ -533,6 +630,17 @@ class TestCli:
         cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "B", "J": 2, "Q": 4}})
         assert main(["synth", str(path), "--config", cfg, "--restarts", "0"]) == 2
 
+    @pytest.mark.parametrize("model, flags", [
+        ("B", ["--seed", "-1"]), ("A", ["--seed", "-1"]), ("A", ["--restarts", "0"])],
+        ids=["B-negative-seed", "A-negative-seed", "A-zero-restarts"])
+    def test_synth_bad_override_rejected(self, tmp_path, capsys, model, flags):
+        path, _ = self._field(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"name": model, "J": 2, "Q": 4}})
+        out = tmp_path / "out"
+        assert main(["synth", str(path), "--config", cfg, "--out", str(out), *flags]) == 2
+        assert f"optimizer {flags[0][2:]}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model, threads", [("B", "0"), ("B", "-5"), ("A", "-5")])
     def test_synth_threads_below_one_rejected(self, tmp_path, model, threads):
         path, _ = self._field(tmp_path)
@@ -581,6 +689,20 @@ class TestCli:
         assert main(["gauss-sample", str(out / "spectrum.phkf"), "--count", "3",
                      "--out", str(out2), "--seed", "1"]) == 0
         assert (out2 / "sample_002.phkf").exists()
+
+    @pytest.mark.parametrize("spectrum, flags, code", [
+        (np.ones((8, 8)), ["--seed", "-1"], 2),
+        (np.ones((8, 8)), ["--count", "0"], 2),
+        (np.ones((8, 8)), ["--count", "-3"], 2),
+        (np.ones(8), [], 4),
+        (np.ones((8, 4)), [], 4),
+        (np.ones((2, 4, 4)), [], 4),
+    ], ids=["negative-seed", "zero-count", "negative-count", "1d", "8x4", "3d"])
+    def test_gauss_sample_bad_arguments_rejected(self, tmp_path, spectrum, flags, code):
+        pio.write_field(tmp_path / "s.phkf", spectrum)
+        out = tmp_path / "out"
+        assert main(["gauss-sample", str(tmp_path / "s.phkf"), "--out", str(out), *flags]) == code
+        assert not out.exists()
 
     def test_gauss_fit_not_converged_writes_then_exits_3(self, tmp_path, monkeypatch):
         path, _ = self._field(tmp_path, side=16, seed=4)
