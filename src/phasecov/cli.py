@@ -18,7 +18,7 @@ from .errors import ConfigError, FormatError, NumericalError
 from .evaluation import EvalWindow, correlation_error, correlation_matrix, structure_error
 from .gaussian import fit_gaussian_from_field, sample_gaussian, GaussianDualState
 from .graph import _require_int, build_foveal_edges
-from .grid import dft2, radial_power_spectrum
+from .grid import MAX_SEED, dft2, radial_power_spectrum
 from .synthesis import build_target, synthesize
 from .wavelets import build_bump_bank
 
@@ -79,6 +79,21 @@ def _require_converged(state):
             f"Gaussian dual fit did not converge (constraint error {state.constraint_error:.3e})")
 
 
+def _write_samples(out, samples):
+    for i, s in enumerate(samples):
+        pio.write_field(out / f"sample_{i:03d}.phkf", s)
+
+
+def _gauss_fit(x, spec, out):
+    """Model A's dual fit to ``x``; writes spectrum.phkf and fit.json."""
+    state = fit_gaussian_from_field(x, spec, build_bump_bank(x.shape[0], spec.J, spec.Q))
+    pio.write_field(out / "spectrum.phkf", state.spectrum)
+    meta = {k: getattr(state, k) for k in ("entropy", "feasible", "converged",
+                                           "constraint_error", "side")}
+    (out / "fit.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    return state
+
+
 def cmd_synth(args):
     xbar = _read_real_field(args.input)
     spec, cfg = _load_spec(args, side=xbar.shape[0])
@@ -87,19 +102,16 @@ def cmd_synth(args):
     if args.restarts is not None:
         spec.optimizer.restarts = args.restarts
     spec.optimizer.validate()
+    gaussian = spec.name.upper() == "A"
     if args.threads < 1:
         raise ConfigError("--threads must be >= 1")
+    if gaussian and args.threads != 1:
+        raise ConfigError("model A runs no restarts: --threads must be 1")
     out = _outdir(args)
-    if spec.name.upper() == "A":
-        bank = build_bump_bank(xbar.shape[0], spec.J, spec.Q)
-        state = fit_gaussian_from_field(xbar, spec, bank)
-        if not state.feasible:
-            raise NumericalError("Gaussian dual fit is infeasible")
+    if gaussian:
+        state = _gauss_fit(xbar, spec, out)
         count = spec.optimizer.restarts
-        samples = sample_gaussian(state, spec.optimizer.seed, count)
-        for i, s in enumerate(samples):
-            pio.write_field(out / f"sample_{i:03d}.phkf", s)
-        pio.write_field(out / "spectrum.phkf", state.spectrum)
+        _write_samples(out, sample_gaussian(state, spec.optimizer.seed, count))
         sys.stdout.write(
             f"model A: dual constraint error {state.constraint_error:.3e}, "
             f"{count} samples\n"
@@ -107,8 +119,7 @@ def cmd_synth(args):
         _require_converged(state)
         return
     result = synthesize(xbar, spec, workers=args.threads)
-    for i, s in enumerate(result.samples):
-        pio.write_field(out / f"sample_{i:03d}.phkf", s)
+    _write_samples(out, result.samples)
     rows = [
         (i, result.iterations[i], float(result.losses[i]))
         for i in range(len(result.samples))
@@ -129,18 +140,7 @@ def cmd_synth(args):
 def cmd_gauss_fit(args):
     x = _read_real_field(args.input)
     spec, _ = _load_spec(args, side=x.shape[0])
-    bank = build_bump_bank(x.shape[0], spec.J, spec.Q)
-    state = fit_gaussian_from_field(x, spec, bank)
-    out = _outdir(args)
-    pio.write_field(out / "spectrum.phkf", state.spectrum)
-    meta = {
-        "entropy": state.entropy,
-        "feasible": state.feasible,
-        "converged": state.converged,
-        "constraint_error": state.constraint_error,
-        "side": state.side,
-    }
-    (out / "fit.json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+    state = _gauss_fit(x, spec, _outdir(args))
     sys.stdout.write(
         f"gauss-fit: constraint error {state.constraint_error:.3e} "
         f"(converged={state.converged})\n"
@@ -150,7 +150,7 @@ def cmd_gauss_fit(args):
 
 def cmd_gauss_sample(args):
     seed = args.seed if args.seed is not None else 0
-    _require_int("--seed", seed, 0)
+    _require_int("--seed", seed, 0, MAX_SEED)
     _require_int("--count", args.count, 1)
     spectrum = pio.read_field(args.spectrum)
     if spectrum.ndim != 2 or spectrum.shape[0] != spectrum.shape[1]:
@@ -164,9 +164,7 @@ def cmd_gauss_sample(args):
         constraint_error=0.0, edge_keys=[], side=spectrum.shape[0],
     )
     samples = sample_gaussian(state, seed, args.count)
-    out = _outdir(args)
-    for i, s in enumerate(samples):
-        pio.write_field(out / f"sample_{i:03d}.phkf", s)
+    _write_samples(_outdir(args), samples)
     sys.stdout.write(f"gauss-sample: wrote {len(samples)} fields\n")
 
 

@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import EdgeComputer, lag_correlations, slice_of
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .graph import Edge, ModelSpec
+from .grid import power_iteration
 # not called here: perfbench/layers.py wraps both names in this module
 from .harmonics import phase_harmonic  # noqa: F401
 from .wavelets import LOWPASS, channel_fields  # noqa: F401
@@ -118,18 +119,8 @@ def operator_norm(matrix, tol=1e-6, max_iter=10000, seed=0):
     rng = np.random.Generator(np.random.Philox(key=seed))
     v = rng.standard_normal(m.shape[0]) + 1j * rng.standard_normal(m.shape[0])
     v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        new = abs(np.vdot(v, w))
-        v = w / norm
-        if abs(new - lam) <= tol * abs(new):
-            return float(new)
-        lam = new
-    raise NumericalError("operator-norm power iteration did not converge")
+    return power_iteration(m.__matmul__, v, tol, max_iter,
+                           "operator-norm power iteration did not converge")
 
 
 def correlation_error(C_ref, C_test, tol=1e-6):

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .graph import build_foveal_edges
-from .grid import white_noise
+from .grid import MAX_SEED, white_noise
 from .lbfgs import lbfgs_minimize
 from .wavelets import LOWPASS
 
@@ -323,8 +323,11 @@ def sample_gaussian(state, seed, count):
     x_hat = sqrt(P(w)) * z_hat(w) with z unit white noise, so the sample
     spectrum E|x_hat|^2 / d equals P(w).  The spectrum is symmetrized over
     w -> -w (it is symmetric up to optimizer tolerance) to make the samples
-    exactly real.
+    exactly real.  Sample i is drawn from seed ``seed + i``; a seed range
+    past 2^64 - 1 is a ConfigError.
     """
+    if int(seed) + count > MAX_SEED:
+        raise ConfigError(f"seeds {seed} to {seed} + {count - 1} run past 2^64 - 1")
     if not state.feasible:
         raise NumericalError("cannot sample from an infeasible dual state")
     side = state.side
@@ -333,7 +336,7 @@ def sample_gaussian(state, seed, count):
     amp = np.sqrt(spec)
     out = []
     for i in range(count):
-        z = white_noise(side, 1.0, (int(seed) + i) % (2 ** 64))
+        z = white_noise(side, 1.0, int(seed) + i)
         xhat = amp * np.fft.fft2(z)
         out.append(np.real(np.fft.ifft2(xhat)).copy())  # a view would pin its complex parent
     return out

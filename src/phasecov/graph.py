@@ -16,11 +16,13 @@ rotation invariant; its edges live at a single spatial position and cover all
 relative angles, which is the angular-Fourier (m-diagonal) parameterization.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
+from .grid import MAX_SEED
 from .wavelets import LOWPASS
 
 
@@ -32,14 +34,6 @@ class SymmetryGroup:
     line_reflection: bool = False
     sign_change: bool = False
     central_reflection: bool = False
-
-    def to_dict(self):
-        return {
-            "rotations": self.rotations,
-            "line_reflection": self.line_reflection,
-            "sign_change": self.sign_change,
-            "central_reflection": self.central_reflection,
-        }
 
 
 @dataclass(frozen=True)
@@ -56,10 +50,11 @@ class Edge:
         return (self.ch, self.k, self.ch2, self.k2, self.du)
 
 
-def _require_int(what, value, low=None):
-    """ConfigError unless ``value`` is an int (not a bool) of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
-        bound = "" if low is None else f" >= {low}"
+def _require_int(what, value, low=None, high=None):
+    """ConfigError unless ``value`` is an int (not a bool) in [low, high)."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low) or (high is not None and value >= high)):
+        bound = ("" if low is None else f" >= {low}") + ("" if high is None else f" and < {high}")
         raise ConfigError(f"{what} must be an integer{bound}, got {value!r}")
 
 
@@ -75,10 +70,11 @@ class OptimizerSettings:
     seed: int = 0
 
     def validate(self):
-        """Type and range checks: integer counts >= 1, a seed >= 0,
+        """Type and range checks: integer counts >= 1, a seed in [0, 2^64),
         0 < c1 < c2 < 1 and finite gtol, eps_ratio >= 0."""
-        for name, low in (("max_iter", 1), ("memory", 1), ("restarts", 1), ("seed", 0)):
-            _require_int(f"optimizer {name}", getattr(self, name), low)
+        for name, low, high in (("max_iter", 1, None), ("memory", 1, None),
+                                ("restarts", 1, None), ("seed", 0, MAX_SEED)):
+            _require_int(f"optimizer {name}", getattr(self, name), low, high)
         for name in ("c1", "c2", "gtol", "eps_ratio"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -89,18 +85,6 @@ class OptimizerSettings:
         if self.gtol < 0 or self.eps_ratio < 0:
             raise ConfigError("optimizer gtol and eps_ratio must be >= 0")
         return self
-
-    def to_dict(self):
-        return {
-            "max_iter": self.max_iter,
-            "memory": self.memory,
-            "c1": self.c1,
-            "c2": self.c2,
-            "gtol": self.gtol,
-            "eps_ratio": self.eps_ratio,
-            "restarts": self.restarts,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -127,7 +111,7 @@ class ModelSpec:
         for name, low in (("J", 1), ("Q", 1), ("k_min", None), ("k_max", None),
                           ("delta_n", 0), ("delta_j", 0), ("delta_ell", 0)):
             _require_int(f"model {name}", getattr(self, name), low)
-        for name, flag in self.group.to_dict().items():
+        for name, flag in asdict(self.group).items():
             if not isinstance(flag, bool):
                 raise ConfigError(f"group flag {name} must be true or false, got {flag!r}")
         if self.k_min > 1 or self.k_max < 1:
@@ -135,29 +119,6 @@ class ModelSpec:
         if self.delta_ell > self.Q // 2:
             raise ConfigError(f"delta_ell={self.delta_ell} exceeds Q/2={self.Q // 2}")
         return self
-
-
-def model_preset(name, J=5, Q=16, **overrides):
-    """Named presets of the reference model families."""
-    _require_int("model Q", Q, 1)  # the presets derive delta_ell from Q
-    name = name.upper()
-    if name == "A":
-        # radius-3 window: 81 channels x 29 offsets reproduces |E|/d = 3.6e-2
-        spec = ModelSpec(name="A", J=J, Q=Q, k_min=1, k_max=1,
-                         delta_n=3, delta_j=0, delta_ell=0)
-    elif name == "B":
-        spec = ModelSpec(name="B", J=J, Q=Q, k_min=0, k_max=1,
-                         delta_n=2, delta_j=0, delta_ell=Q // 4)
-    elif name == "C":
-        spec = ModelSpec(name="C", J=J, Q=Q, k_min=0, k_max=2,
-                         delta_n=2, delta_j=1, delta_ell=Q // 4)
-    elif name == "D":
-        spec = ModelSpec(name="D", J=J, Q=Q, k_min=0, k_max=2,
-                         delta_n=0, delta_j=1, delta_ell=Q // 4,
-                         group=SymmetryGroup(rotations=True))
-    else:
-        raise ConfigError(f"unknown model preset {name!r}")
-    return replace(spec, **overrides).validate()
 
 
 @dataclass
@@ -303,13 +264,63 @@ def _edges_custom(spec):
     return edges
 
 
+class Preset(NamedTuple):
+    """What a model configuration may say: the model fields its edge builder
+    reads (the group is read by every model), the optimizer fields its fit
+    reads, and, for a named preset, its fixed field values given Q."""
+
+    builder: object
+    reads: tuple
+    optimizer: tuple
+    values: object = None
+
+
+_OPTIMIZER_FIELDS = tuple(f.name for f in fields(OptimizerSettings))
+
+CUSTOM = Preset(_edges_custom, tuple(f.name for f in fields(ModelSpec)
+                                     if f.name not in ("name", "group", "optimizer")),
+                _OPTIMIZER_FIELDS)
+
+# model A's dual fit has its own tolerances: synth reads only its sample seed
+# and count
+PRESETS = {
+    "A": Preset(_edges_model_a, ("J", "Q", "delta_n"), ("restarts", "seed"),
+                lambda Q: dict(k_min=1, k_max=1, delta_n=3, delta_j=0, delta_ell=0)),
+    "B": Preset(_edges_model_b, ("J", "Q", "delta_n", "delta_ell"), _OPTIMIZER_FIELDS,
+                lambda Q: dict(k_min=0, k_max=1, delta_n=2, delta_j=0, delta_ell=Q // 4)),
+    "C": Preset(_edges_model_c, ("J", "Q", "delta_n", "delta_ell"), _OPTIMIZER_FIELDS,
+                lambda Q: dict(k_min=0, k_max=2, delta_n=2, delta_j=1, delta_ell=Q // 4)),
+    "D": Preset(_edges_model_d, ("J", "Q"), _OPTIMIZER_FIELDS,
+                lambda Q: dict(k_min=0, k_max=2, delta_n=0, delta_j=1, delta_ell=Q // 4,
+                               group=SymmetryGroup(rotations=True))),
+}
+
+
+def preset_of(name):
+    """The :class:`Preset` of a model name: a named preset or :data:`CUSTOM`."""
+    return PRESETS.get(str(name).upper(), CUSTOM)
+
+
+def model_preset(name, J=5, Q=16, **overrides):
+    """Named presets of the reference model families.  ``overrides`` may set
+    the group and the fields the preset's edge builder reads; any other
+    field is a ConfigError, also when it holds the preset's own value."""
+    key = name.upper()
+    if key not in PRESETS:
+        raise ConfigError(f"unknown model preset {name!r}")
+    preset = PRESETS[key]
+    unread = sorted(set(overrides) - {"group", *preset.reads})
+    if unread:
+        raise ConfigError(f"model {key} does not read {', '.join(unread)}; "
+                          f"it reads {', '.join(preset.reads)} and group")
+    _require_int("model Q", Q, 1)  # the presets derive delta_ell from Q
+    return ModelSpec(name=key, J=J, Q=Q, **{**preset.values(Q), **overrides}).validate()
+
+
 def build_foveal_edges(spec):
     """Edge set of a model spec (see module docstring for preset policies)."""
     spec.validate()
-    builders = {"A": _edges_model_a, "B": _edges_model_b, "C": _edges_model_c,
-                "D": _edges_model_d}
-    builder = builders.get(spec.name.upper(), _edges_custom)
-    edges = builder(spec)
+    edges = preset_of(spec.name).builder(spec)
     if spec.group.sign_change:
         edges = [e for e in edges if (e.k + e.k2) % 2 == 0]
     if spec.group.rotations:

@@ -8,7 +8,7 @@ m in {0..side-1}^2 (numpy FFT layout).
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 MAX_SEED = 2 ** 64
 
@@ -62,6 +62,24 @@ def white_noise(side, sigma, seed):
     r = np.sqrt(-2.0 * np.log(u1))
     z = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
     return (sigma * z).reshape(side, side)
+
+
+def power_iteration(apply, v, tol, max_iter, failure):
+    """Largest |eigenvalue| of a Hermitian operator ``apply`` by power
+    iteration from the unit vector ``v``, to relative tolerance ``tol`` on
+    |<v, apply(v)>|.  Raises NumericalError(``failure``) past ``max_iter`` steps."""
+    lam = 0.0
+    for _ in range(max_iter):
+        w = apply(v)
+        norm = np.linalg.norm(w)
+        if norm == 0:
+            return 0.0
+        new = float(abs(np.vdot(v, w)))
+        v = w / norm
+        if abs(new - lam) <= tol * new:
+            return new
+        lam = new
+    raise NumericalError(failure)
 
 
 def translate(x, tau):

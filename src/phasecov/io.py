@@ -8,8 +8,9 @@ Table files ("PHKT"): magic, u32 version=1, u64 header length, UTF-8 JSON
 header (edge keys, vertex classes, metadata; canonical key order), then
 float64 payload arrays (means, covariances, diagonal) in the header's order.
 
-Run configuration is a JSON document mirroring the model spec; unknown keys
-anywhere are rejected.
+Run configuration is a JSON document mirroring the model spec.  Its schema
+is the spec dataclasses' fields, narrowed per model by ``graph.PRESETS``:
+a key that nothing reads is rejected, anywhere.
 """
 
 import json
@@ -18,12 +19,14 @@ import os
 import re
 import struct
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .covariance import CovarianceTable
 from .errors import ConfigError, FormatError
-from .graph import Edge, ModelSpec, OptimizerSettings, SymmetryGroup, _require_int
+from .graph import (CUSTOM, ModelSpec, OptimizerSettings, SymmetryGroup, _require_int,
+                    model_preset, preset_of)
 from .wavelets import LOWPASS
 
 FIELD_MAGIC = b"PHKF"
@@ -124,7 +127,7 @@ def write_table(path, table):
         "edges": [_key_to_json(k) for k in edge_keys],
         "vertex_classes": [[_channel_to_json(c), k] for (c, k) in classes],
         "diag_classes": [[_channel_to_json(c), k] for (c, k) in diag_classes],
-        "group": table.group.to_dict(),
+        "group": asdict(table.group),
         "normalized": table.normalized,
         "has_norm_diag": table.norm_diag is not None,
         "source": table.source,
@@ -186,25 +189,20 @@ def read_table(path):
 
 # ----- run configuration ------------------------------------------------------
 
-_GROUP_KEYS = {"rotations", "line_reflection", "sign_change", "central_reflection"}
-_MODEL_KEYS = {"name", "J", "Q", "k_min", "k_max", "delta_n", "delta_j", "delta_ell", "group"}
-_OPT_KEYS = {"max_iter", "memory", "c1", "c2", "gtol", "eps_ratio", "restarts", "seed"}
+_GROUP_KEYS = {f.name for f in fields(SymmetryGroup)}
+_MODEL_KEYS = {f.name for f in fields(ModelSpec)} - {"optimizer"}
+_OPT_KEYS = {f.name for f in fields(OptimizerSettings)}
 _EVAL_KEYS = {"k_lo", "k_hi", "delta_n", "a_max", "j_list", "q_list"}
 _TOP_KEYS = {"model", "optimizer", "evaluation", "seed", "restarts"}
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - allowed
+def _object(value, allowed, where):
+    """``value`` when it is a JSON object with only ``allowed`` keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(value) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-
-
-def _object(doc, key, allowed, where):
-    """The JSON object ``doc[key]`` (empty when absent), with only ``allowed`` keys."""
-    value = doc.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object")
-    _reject_unknown(value, allowed, where)
     return value
 
 
@@ -227,13 +225,14 @@ def _validate_evaluation(ev):
 
 def parse_config(doc):
     """Validated run configuration from a parsed JSON document (fail-closed)."""
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "configuration root")
-    model_doc = _object(doc, "model", _MODEL_KEYS, "'model'")
-    group_doc = _object(model_doc, "group", _GROUP_KEYS, "'model.group'")
-    opt_doc = _object(doc, "optimizer", _OPT_KEYS, "'optimizer'")
-    eval_doc = _object(doc, "evaluation", _EVAL_KEYS, "'evaluation'")
+    _object(doc, _TOP_KEYS, "configuration root")
+    model_doc = _object(doc.get("model", {}), _MODEL_KEYS, "'model'")
+    group_doc = _object(model_doc.get("group", {}), _GROUP_KEYS, "'model.group'")
+    name = model_doc.get("name", "custom")
+    preset = preset_of(name)
+    opt_doc = _object(doc.get("optimizer", {}), set(preset.optimizer),
+                      f"'optimizer' of model {name}")
+    eval_doc = _object(doc.get("evaluation", {}), _EVAL_KEYS, "'evaluation'")
     _validate_evaluation(eval_doc)
 
     group = SymmetryGroup(**group_doc)
@@ -241,18 +240,12 @@ def parse_config(doc):
     optimizer = OptimizerSettings(
         **{**opt_doc, **{k: doc[k] for k in ("restarts", "seed") if k in doc}}
     ).validate()
-    name = model_doc.get("name", "custom")
-    fields = {k: v for k, v in model_doc.items() if k not in ("group", "name")}
-    if isinstance(name, str) and name.upper() in ("A", "B", "C", "D"):
-        from .graph import model_preset
-
-        overrides = dict(fields)
-        if group_doc:
-            overrides["group"] = group
-        spec = model_preset(name, **overrides)
-        spec.optimizer = optimizer
+    overrides = {k: v for k, v in model_doc.items() if k not in ("group", "name")}
+    if preset is CUSTOM:
+        spec = ModelSpec(name=name, group=group, optimizer=optimizer, **overrides).validate()
     else:
-        spec = ModelSpec(name=name, group=group, optimizer=optimizer, **fields).validate()
+        spec = model_preset(name, **overrides, **({"group": group} if group_doc else {}))
+        spec.optimizer = optimizer
     return {"spec": spec, "evaluation": dict(eval_doc)}
 
 
@@ -266,20 +259,14 @@ def load_config(path):
 
 
 def spec_to_json(spec):
-    """Round-trippable JSON document of a model spec."""
+    """JSON document of a model spec with exactly the keys :func:`parse_config`
+    accepts for its model, so that it parses back to the same spec."""
+    preset = preset_of(spec.name)
+    optimizer = asdict(spec.optimizer)
     return {
-        "model": {
-            "name": spec.name,
-            "J": spec.J,
-            "Q": spec.Q,
-            "k_min": spec.k_min,
-            "k_max": spec.k_max,
-            "delta_n": spec.delta_n,
-            "delta_j": spec.delta_j,
-            "delta_ell": spec.delta_ell,
-            "group": spec.group.to_dict(),
-        },
-        "optimizer": spec.optimizer.to_dict(),
+        "model": {"name": spec.name, **{k: getattr(spec, k) for k in preset.reads},
+                  "group": asdict(spec.group)},
+        "optimizer": {k: optimizer[k] for k in preset.optimizer},
     }
 
 

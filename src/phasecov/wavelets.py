@@ -28,8 +28,8 @@ from math import factorial, pi
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .grid import check_side
+from .errors import ConfigError
+from .grid import check_side, power_iteration
 
 XI0 = 1.7 * pi
 SIGMA_PHI = 0.702 * np.sqrt(2.0) * 2 ** (-0.55) * XI0
@@ -224,18 +224,8 @@ def frame_bounds(bank, tol=1e-6, max_iter=10000, seed=0):
     def power(op, label):
         v = rng.standard_normal((bank.side, bank.side)) + 0j
         v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            w = op(v)
-            new = float(np.real(np.vdot(v, w)))
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-            if abs(new - lam) <= tol * abs(new):
-                return new
-            lam = new
-        raise NumericalError(f"power iteration for {label} did not converge in {max_iter} steps")
+        return power_iteration(op, v, tol, max_iter,
+                               f"power iteration for {label} did not converge in {max_iter} steps")
 
     b = power(apply_gram, "B_W")
     shifted = power(lambda v: b * v - apply_gram(v), "A_W")

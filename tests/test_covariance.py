@@ -25,10 +25,7 @@ from phasecov.wavelets import LOWPASS, build_bump_bank, channel_fields
 
 
 def tiny_spec(**kw):
-    defaults = dict(J=2, Q=4, k_min=0, k_max=2, delta_n=1, delta_j=1, delta_ell=1)
-    defaults.update(kw)
-    return model_preset("B", **{k: v for k, v in defaults.items() if k in (
-        "J", "Q", "k_min", "k_max", "delta_n", "delta_j", "delta_ell", "group")})
+    return model_preset("B", **{"J": 2, "Q": 4, "delta_n": 1, "delta_ell": 1, **kw})
 
 
 def orbit_oracle(x, edges, bank, group_sign=False):

@@ -2,6 +2,7 @@ import pytest
 
 from phasecov.errors import ConfigError
 from phasecov.graph import (
+    ModelSpec,
     SymmetryGroup,
     ball_offsets,
     build_foveal_edges,
@@ -104,6 +105,11 @@ class TestEdgeSets:
     def test_k_range_must_bracket_one(self):
         with pytest.raises(ConfigError):
             model_preset("B", k_min=0, k_max=0)
+
+    def test_custom_k_range_must_bracket_one(self):
+        for k_min, k_max in ((0, 0), (2, 3)):
+            with pytest.raises(ConfigError, match="k_min <= 1 <= k_max"):
+                ModelSpec(k_min=k_min, k_max=k_max).validate()
 
     def test_rotations_require_single_position(self):
         spec = model_preset("C", J=2, Q=4, group=SymmetryGroup(rotations=True))

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecov.errors import ConfigError
+from phasecov.errors import ConfigError, NumericalError
 from phasecov.grid import (
     dft2,
     idft2,
     negate,
+    power_iteration,
     radial_power_spectrum,
     translate,
     white_noise,
@@ -171,3 +172,16 @@ class TestRadialPowerSpectrum:
     def test_empty_list_rejected(self):
         with pytest.raises(ConfigError):
             radial_power_spectrum([])
+
+
+class TestPowerIteration:
+    def test_largest_magnitude_eigenvalue(self):
+        m = np.diag([1.0, -3.0, 2.0]).astype(complex)
+        v = np.ones(3, dtype=complex) / np.sqrt(3)
+        assert power_iteration(m.__matmul__, v, 1e-12, 1000, "no") == pytest.approx(3.0)
+
+    def test_zero_operator_and_failure(self):
+        v = np.ones(2) / np.sqrt(2)
+        assert power_iteration(lambda u: 0 * u, v, 1e-6, 10, "no") == 0.0
+        with pytest.raises(NumericalError, match="did not settle"):
+            power_iteration(lambda u: np.array([1.0, 3.0]) * u, v, 1e-6, 1, "did not settle")

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,16 @@ from phasecov.cli import main
 from phasecov.covariance import CovarianceTable, estimate_covariance
 from phasecov.errors import ConfigError, FormatError
 from phasecov.gaussian import GaussianDualState
-from phasecov.graph import SymmetryGroup, build_foveal_edges, model_preset
+from phasecov.graph import (
+    CUSTOM,
+    PRESETS,
+    ModelSpec,
+    OptimizerSettings,
+    SymmetryGroup,
+    build_foveal_edges,
+    model_preset,
+    preset_of,
+)
 from phasecov.grid import white_noise
 from phasecov.wavelets import LOWPASS
 
@@ -259,6 +269,27 @@ class TestConfig:
         assert back.J == spec.J
         assert back.delta_ell == spec.delta_ell
         assert back.optimizer.max_iter == spec.optimizer.max_iter
+        # every model, with non-default values of every field it reads
+        tuned = OptimizerSettings(max_iter=7, memory=3, c1=1e-3, c2=0.5, gtol=1e-6,
+                                  eps_ratio=0.0, restarts=2, seed=2 ** 64 - 1)
+        specs = [
+            replace(model_preset("A", J=3, Q=8, delta_n=2),
+                    optimizer=OptimizerSettings(restarts=2, seed=9)),
+            replace(model_preset("B", J=3, Q=8, delta_n=1, delta_ell=1,
+                                 group=SymmetryGroup(sign_change=True)), optimizer=tuned),
+            replace(model_preset("C", J=2, Q=4, delta_n=1, delta_ell=2), optimizer=tuned),
+            replace(model_preset("D", J=3, Q=8, group=SymmetryGroup(
+                rotations=True, line_reflection=True)), optimizer=tuned),
+            ModelSpec(name="mine", J=2, Q=4, k_min=-1, k_max=2, delta_n=1, delta_j=1,
+                      delta_ell=1, group=SymmetryGroup(central_reflection=True),
+                      optimizer=tuned),
+        ]
+        for spec in specs:
+            doc = json.loads(json.dumps(pio.spec_to_json(spec)))
+            preset = preset_of(spec.name)
+            assert set(doc["model"]) == {"name", "group", *preset.reads}
+            assert set(doc["optimizer"]) == set(preset.optimizer)
+            assert pio.parse_config(doc)["spec"] == spec
 
     def test_seed_and_restart_overrides(self):
         cfg = pio.parse_config({"model": {"name": "B"}, "seed": 11, "restarts": 3})
@@ -285,6 +316,7 @@ class TestConfig:
         {"optimizer": {"eps_ratio": "0"}},
         {"optimizer": []},
         {"sample_count": "x"},
+        {"seed": 2 ** 64},
     ])
     def test_rejects_bad_optimizer_settings(self, doc):
         with pytest.raises(ConfigError):
@@ -294,9 +326,9 @@ class TestConfig:
         {"name": "B", "J": "x"},
         {"name": "B", "J": 3.5},
         {"name": "B", "Q": 0},
-        {"name": "B", "k_max": 2.0},
+        {"name": "custom", "k_max": 2.0},
         {"name": "B", "delta_n": "2"},
-        {"name": "B", "delta_j": -1},
+        {"name": "custom", "delta_j": -1},
         {"name": "B", "group": {"rotations": "false"}},
         {"name": "custom", "group": {"sign_change": 1}},
         {"name": 3},
@@ -317,6 +349,12 @@ class TestConfig:
     def test_evaluation_section_accepted(self):
         ev = {"k_lo": -1, "k_hi": 3, "delta_n": 0, "a_max": 0, "j_list": [1, 2], "q_list": [2]}
         assert pio.parse_config({"model": {"name": "B"}, "evaluation": ev})["evaluation"] == ev
+
+    def test_seed_range(self):
+        doc = {"model": {"name": "A"}, "seed": 2 ** 64 - 1}
+        assert pio.parse_config(doc)["spec"].optimizer.seed == 2 ** 64 - 1
+        with pytest.raises(ConfigError, match="optimizer seed"):
+            pio.parse_config({**doc, "seed": 2 ** 64})
 
     def test_zero_tolerances_accepted(self):
         cfg = pio.parse_config({"model": {"name": "B"}, "optimizer": {"gtol": 0, "eps_ratio": 0.0}})
@@ -697,12 +735,22 @@ class TestCli:
         (np.ones(8), [], 4),
         (np.ones((8, 4)), [], 4),
         (np.ones((2, 4, 4)), [], 4),
-    ], ids=["negative-seed", "zero-count", "negative-count", "1d", "8x4", "3d"])
+        (np.ones((8, 8)), ["--seed", str(2 ** 64)], 2),
+        (np.ones((8, 8)), ["--seed", str(2 ** 64 - 1), "--count", "2"], 2),
+    ], ids=["negative-seed", "zero-count", "negative-count", "1d", "8x4", "3d", "seed-2^64",
+            "seeds-past-2^64"])
     def test_gauss_sample_bad_arguments_rejected(self, tmp_path, spectrum, flags, code):
         pio.write_field(tmp_path / "s.phkf", spectrum)
         out = tmp_path / "out"
         assert main(["gauss-sample", str(tmp_path / "s.phkf"), "--out", str(out), *flags]) == code
         assert not out.exists()
+
+    def test_gauss_sample_largest_seed(self, tmp_path):
+        pio.write_field(tmp_path / "s.phkf", np.ones((8, 8)))
+        out = tmp_path / "out"
+        assert main(["gauss-sample", str(tmp_path / "s.phkf"), "--out", str(out),
+                     "--seed", str(2 ** 64 - 1), "--count", "1"]) == 0
+        assert (out / "sample_000.phkf").exists()
 
     def test_gauss_fit_not_converged_writes_then_exits_3(self, tmp_path, monkeypatch):
         path, _ = self._field(tmp_path, side=16, seed=4)
@@ -810,3 +858,82 @@ class TestCli:
         back = pio.import_pgm(out)
         bound = (x.max() - x.min()) / 65535.0
         assert np.max(np.abs(back - x)) <= 0.5 * bound + 1e-12
+
+
+class TestPresetSchema:
+    """A configuration may set exactly what its model reads: each preset's
+    edge builder reads the model fields in ``PRESETS``, model A's fit reads
+    only the optimizer seed and restarts, and custom specs read everything."""
+
+    @pytest.mark.parametrize("field", CUSTOM.reads)
+    @pytest.mark.parametrize("name", [*PRESETS, "custom"])
+    def test_model_field_read_or_rejected(self, tmp_path, capsys, name, field):
+        if name == "custom":
+            base = ModelSpec(J=2, Q=4, k_min=0, k_max=1, delta_n=1, delta_j=0, delta_ell=1)
+        else:
+            base = model_preset(name, J=2, Q=4)
+        if field in preset_of(name).reads:
+            changed = (replace(base, **{field: getattr(base, field) + 1}) if name == "custom"
+                       else model_preset(name, **{"J": 2, "Q": 4, field: getattr(base, field) + 1}))
+            keys = [e.key() for e in build_foveal_edges(base).edges]
+            assert [e.key() for e in build_foveal_edges(changed).edges] != keys
+            return
+        with pytest.raises(ConfigError, match=field):
+            model_preset(name, J=2, Q=4, **{field: getattr(base, field)})
+        x = tmp_path / "x.phkf"
+        pio.write_field(x, white_noise(16, 1.0, 0))
+        # the preset's own value is still a key that nothing reads
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": name, "J": 2, "Q": 4, field: getattr(base, field)}})
+        out = tmp_path / "out"
+        assert main(["cov", str(x), "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and f"model {name}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", [*PRESETS, "custom"])
+    def test_cov_prints_edge_k_range(self, tmp_path, capsys, name):
+        x = tmp_path / "x.phkf"
+        pio.write_field(x, white_noise(16, 1.0, 1))
+        cfg = pio.load_config(write_config(tmp_path / "cfg.json",
+                                           {"model": {"name": name, "J": 2, "Q": 4}}))
+        ks = {k for e in build_foveal_edges(cfg["spec"]).edges for k in (e.k, e.k2)}
+        assert main(["cov", str(x), "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert f"k=[{min(ks)},{max(ks)}]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", sorted(set(CUSTOM.optimizer) - {"seed", "restarts"}))
+    def test_model_a_rejects_optimizer_key(self, tmp_path, capsys, key):
+        x = tmp_path / "x.phkf"
+        pio.write_field(x, white_noise(16, 1.0, 2))
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "A", "J": 2, "Q": 4, "delta_n": 1},
+            "optimizer": {key: getattr(OptimizerSettings(), key)}})
+        assert main(["gauss-fit", str(x), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_model_a_synth_rejects_threads(self, tmp_path, capsys):
+        x = tmp_path / "x.phkf"
+        pio.write_field(x, white_noise(16, 1.0, 3))
+        cfg = write_config(tmp_path / "cfg.json", {"model": {"name": "A", "J": 2, "Q": 4}})
+        out = tmp_path / "out"
+        assert main(["synth", str(x), "--config", cfg, "--out", str(out),
+                     "--threads", "2"]) == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_a_synth_writes_gauss_fit_outputs(self, tmp_path):
+        x = tmp_path / "x.phkf"
+        pio.write_field(x, white_noise(16, 1.0, 4))
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "A", "J": 2, "Q": 4, "delta_n": 1}, "seed": 5, "restarts": 2})
+        fit, synth, samples = tmp_path / "fit", tmp_path / "synth", tmp_path / "samples"
+        assert main(["gauss-fit", str(x), "--config", cfg, "--out", str(fit)]) == 0
+        assert main(["synth", str(x), "--config", cfg, "--out", str(synth)]) == 0
+        assert main(["gauss-sample", str(fit / "spectrum.phkf"), "--seed", "5", "--count", "2",
+                     "--out", str(samples)]) == 0
+        for name in ("fit.json", "spectrum.phkf"):
+            assert (synth / name).read_bytes() == (fit / name).read_bytes()
+        for i in range(2):
+            name = f"sample_{i:03d}.phkf"
+            assert (synth / name).read_bytes() == (samples / name).read_bytes()

@@ -3,7 +3,7 @@ import pytest
 
 from phasecov.covariance import estimate_covariance
 from phasecov.errors import ConfigError
-from phasecov.graph import SymmetryGroup, build_foveal_edges, model_preset
+from phasecov.graph import ModelSpec, SymmetryGroup, build_foveal_edges, model_preset
 from phasecov.grid import negate, translate, white_noise
 from phasecov.synthesis import (
     build_target,
@@ -203,15 +203,18 @@ class TestSynthesize:
             assert np.all(np.diff(curve) <= 0)
 
     def test_self_consistency_achievable_target(self):
-        # k = 1 only (Gaussian-achievable statistics) through the
-        # microcanonical machinery reaches a small fraction of initial loss
+        # a Gaussian reference's own statistics, preset B (k in {0, 1}) and a
+        # k = 1 custom model, through the microcanonical machinery reach a
+        # small fraction of the initial loss
         side = 16
-        spec = model_preset("B", J=2, Q=4, k_min=1, k_max=1, delta_ell=0, delta_n=1)
-        spec.optimizer.max_iter = 400
         xbar = gaussian_reference(side, 25)
-        result = synthesize(xbar, spec, n_restarts=2, seed=3)
-        best = result.best_index
-        assert result.losses[best] < 1e-3 * result.initial_losses[best]
+        for spec in (model_preset("B", J=2, Q=4, delta_ell=0, delta_n=1),
+                     ModelSpec(name="custom", J=2, Q=4, k_min=1, k_max=1, delta_n=1,
+                               delta_j=0, delta_ell=0)):
+            spec.optimizer.max_iter = 400
+            result = synthesize(xbar, spec, n_restarts=2, seed=3)
+            best = result.best_index
+            assert result.losses[best] < 1e-3 * result.initial_losses[best], spec.name
 
 
 class TestTrajectoryEquivariance:
