@@ -18,7 +18,7 @@ from .errors import ConfigError, FormatError, NumericalError
 from .evaluation import EvalWindow, correlation_error, correlation_matrix, structure_error
 from .gaussian import fit_gaussian_from_field, sample_gaussian, GaussianDualState
 from .graph import _require_int, build_foveal_edges
-from .grid import MAX_SEED, dft2, radial_power_spectrum
+from .grid import MAX_SEED, dft2, radial_power_spectrum, require_seed_range
 from .synthesis import build_target, synthesize
 from .wavelets import build_bump_bank
 
@@ -107,6 +107,8 @@ def cmd_synth(args):
         raise ConfigError("--threads must be >= 1")
     if gaussian and args.threads != 1:
         raise ConfigError("model A runs no restarts: --threads must be 1")
+    if gaussian:  # its samples draw seeds seed + i: check them before the fit
+        require_seed_range(spec.optimizer.seed, spec.optimizer.restarts)
     out = _outdir(args)
     if gaussian:
         state = _gauss_fit(xbar, spec, out)

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Edge, ModelSpec, SymmetryGroup
+from .graph import Edge, ModelSpec, SymmetryGroup, require_single_position
 from .harmonics import harmonic_derivative, phase_harmonic
 from .wavelets import LOWPASS, channel_fields
 
@@ -210,6 +210,8 @@ class EdgeComputer:
                     raise ConfigError(f"edge references unknown channel {ch!r}")
         self.bank = bank
         self.group = spec.group
+        if self.group.rotations:
+            require_single_position(self.edges)
         self.Q = spec.Q
         # vertex classes (channel, k), then the rows holding them, in edge order
         self.classes = list(dict.fromkeys(
@@ -245,8 +247,6 @@ class EdgeComputer:
         terms = {}  # (row_a, row_b) -> flat runs of (edge index, weight, sa, sb, t1, t2)
         angular = []  # flat runs of (edge index, weight, diagonal offset, band row a, band row b)
         for idx, e in enumerate(self.edges):
-            if band and (e.ch, e.ch2) != (LOWPASS, LOWPASS) and e.du != (0, 0):
-                raise ConfigError("rotation averaging needs edges at a single position")
             for (w, c, c2, du) in edge_orbit_terms(e.ch, e.ch2, e.du, group, Q):
                 (ra, sa), (rb, sb) = slice_of(c, e.k), slice_of(c2, e.k2)
                 if ra in band and rb in band:
@@ -385,8 +385,9 @@ class EdgeComputer:
                 gamma = np.fft.fft(grid, axis=0)
                 continue
             a, b = self.slices(spectra, key[1]), self.slices(spectra, key[2])
-            acc_a = acc.setdefault(key[1], np.zeros_like(a))
-            acc_b = acc.setdefault(key[2], np.zeros_like(b))
+            for rk, v in ((key[1], a), (key[2], b)):  # allocate only a row not yet held
+                acc[rk] = acc[rk] if rk in acc else np.zeros_like(v)
+            acc_a, acc_b = acc[key[1]], acc[key[2]]
             win, start = g.window, 0
             for layer in g.layers:
                 ghat = win.spectra(grid[start:start + len(layer)])
@@ -523,52 +524,34 @@ class ReducedTable:
 
 
 def angular_fourier_reduce(table, spec):
-    """DFT along the angular index; keeps the m = m' diagonal.
+    """Angular-Fourier diagonal (j, k, j', k', m) of a table with rotations in
+    its group and every edge at lag (0, 0); real parts under line reflection.
 
-    Requires rotations in the group and single-position edges.  With line
-    reflection in the group only real parts are kept.
+    Under rotations the block M[ell, ell'] of a band quadruple is circulant,
+    so F M F^-1 is diagonal with entries sum_dl c[dl] exp(2 pi i m dl / Q),
+    c[dl] the mean of the block's entries at relative angle ell' - ell = dl
+    (0 where it has none); the off-diagonal energy is their spread about c.
     """
     if not spec.group.rotations:
         raise ConfigError("angular reduction needs rotations in the symmetry group")
+    require_single_position(Edge(*key) for key in table.cov)
     Q = spec.Q
-    if Q == 1:
-        return ReducedTable(entries=dict(table.cov), offdiag_energy=0.0, total_energy=float(
-            sum(abs(v) ** 2 for v in table.cov.values())), Q=1)
-    quads = {}
-    for key, val in table.cov.items():
-        ch, k, ch2, k2, du = key
-        if ch == LOWPASS or ch2 == LOWPASS:
-            continue
-        if du != (0, 0):
-            raise ConfigError("angular reduction needs edges at a single position")
-        quads.setdefault((ch[0], k, ch2[0], k2), {})[(ch[1], ch2[1])] = val
-    F = np.exp(-2j * np.pi * np.outer(np.arange(Q), np.arange(Q)) / Q)
-    Finv = np.conj(F).T / Q
-    entries = {}
-    off_e = 0.0
-    tot_e = 0.0
-    for quad, pairs in quads.items():
-        M = np.zeros((Q, Q), dtype=complex)
-        got = np.zeros((Q, Q), dtype=bool)
-        for (l1, l2), v in pairs.items():
-            M[l1, l2] = v
-            got[l1, l2] = True
-        # rotation completion: the table depends on the relative angle only
-        for dl in range(Q):
-            known = [M[l, (l + dl) % Q] for l in range(Q) if got[l, (l + dl) % Q]]
-            if known:
-                fill = np.mean(known)
-                for l in range(Q):
-                    if not got[l, (l + dl) % Q]:
-                        M[l, (l + dl) % Q] = fill
-        Mhat = F @ M @ Finv
-        tot_e += float(np.sum(np.abs(Mhat) ** 2))
-        off = Mhat - np.diag(np.diag(Mhat))
-        off_e += float(np.sum(np.abs(off) ** 2))
-        for m in range(Q):
-            v = Mhat[m, m]
+    blocks = {}  # quadruple -> relative angle -> entries
+    for (ch, k, ch2, k2, _), val in table.cov.items():
+        if LOWPASS not in (ch, ch2):
+            blocks.setdefault((ch[0], k, ch2[0], k2), {}).setdefault(
+                (ch2[1] - ch[1]) % Q, []).append(val)
+    entries, off_e, diag_e = {}, 0.0, 0.0
+    for quad, by_angle in blocks.items():
+        c = np.zeros(Q, dtype=complex)
+        for dl, vals in by_angle.items():
+            c[dl] = np.mean(vals)
+            off_e += float(np.sum(np.abs(np.subtract(vals, c[dl])) ** 2))
+        diag = np.fft.ifft(c, norm="forward")
+        diag_e += float(np.sum(np.abs(diag) ** 2))
+        for m, v in enumerate(diag):
             entries[quad + (m,)] = float(v.real) if spec.group.line_reflection else complex(v)
-    return ReducedTable(entries=entries, offdiag_energy=off_e, total_energy=tot_e, Q=Q)
+    return ReducedTable(entries=entries, offdiag_energy=off_e, total_energy=off_e + diag_e, Q=Q)
 
 
 @dataclass

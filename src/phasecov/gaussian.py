@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .graph import build_foveal_edges
-from .grid import MAX_SEED, white_noise
+from .grid import require_seed_range, white_noise
 from .lbfgs import lbfgs_minimize
 from .wavelets import LOWPASS
 
@@ -324,10 +324,9 @@ def sample_gaussian(state, seed, count):
     spectrum E|x_hat|^2 / d equals P(w).  The spectrum is symmetrized over
     w -> -w (it is symmetric up to optimizer tolerance) to make the samples
     exactly real.  Sample i is drawn from seed ``seed + i``; a seed range
-    past 2^64 - 1 is a ConfigError.
+    past 2^64 - 1 is a ConfigError (:func:`~phasecov.grid.require_seed_range`).
     """
-    if int(seed) + count > MAX_SEED:
-        raise ConfigError(f"seeds {seed} to {seed} + {count - 1} run past 2^64 - 1")
+    require_seed_range(seed, count)
     if not state.feasible:
         raise NumericalError("cannot sample from an infeasible dual state")
     side = state.side

@@ -105,7 +105,8 @@ class ModelSpec:
     def validate(self):
         """Type and range checks: a string name, J and Q integers >= 1,
         integer exponents with k_min <= 1 <= k_max, integer neighbourhoods
-        >= 0 with delta_ell <= Q/2, and boolean group flags."""
+        >= 0 with delta_ell <= Q/2, boolean group flags, and a named preset's
+        own values in the fields its edge builder does not read."""
         if not isinstance(self.name, str):
             raise ConfigError(f"model name must be a string, got {self.name!r}")
         for name, low in (("J", 1), ("Q", 1), ("k_min", None), ("k_max", None),
@@ -118,6 +119,10 @@ class ModelSpec:
             raise ConfigError(f"need k_min <= 1 <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.delta_ell > self.Q // 2:
             raise ConfigError(f"delta_ell={self.delta_ell} exceeds Q/2={self.Q // 2}")
+        preset = preset_of(self.name)
+        for name, value in (preset.values(self.Q) if preset.values else {}).items():
+            if name not in ("group", *preset.reads) and (got := getattr(self, name)) != value:
+                raise ConfigError(f"model {self.name.upper()} fixes {name}={value}, got {got}")
         return self
 
 
@@ -244,11 +249,10 @@ def _edges_custom(spec):
     for (j, ell) in bands:
         for j2 in range(j, min(spec.J, j + spec.delta_j) + 1):
             for ell2 in range(spec.Q):
-                dl = circular_distance(ell, ell2, spec.Q)
-                if dl > spec.delta_ell:
+                if circular_distance(ell, ell2, spec.Q) > spec.delta_ell:
                     continue
                 same_channel = (j2, ell2) == (j, ell)
-                if j2 == j and not same_channel and ell2 < ell and circular_distance(ell2, ell, spec.Q) <= spec.delta_ell:
+                if j2 == j and ell2 < ell:
                     # unordered same-scale channel pair already emitted
                     continue
                 stride = 2 ** (max(j, j2) - 1)
@@ -317,6 +321,14 @@ def model_preset(name, J=5, Q=16, **overrides):
     return ModelSpec(name=key, J=J, Q=Q, **{**preset.values(Q), **overrides}).validate()
 
 
+def require_single_position(edges):
+    """ConfigError naming the first edge off lag (0, 0), low-pass pairs included:
+    rotations relabel angles but leave lags unturned, exact at lag zero only."""
+    for e in edges:
+        if e.du != (0, 0):
+            raise ConfigError(f"rotation averaging needs every edge at lag (0, 0), got {e}")
+
+
 def build_foveal_edges(spec):
     """Edge set of a model spec (see module docstring for preset policies)."""
     spec.validate()
@@ -324,9 +336,5 @@ def build_foveal_edges(spec):
     if spec.group.sign_change:
         edges = [e for e in edges if (e.k + e.k2) % 2 == 0]
     if spec.group.rotations:
-        bad = [e for e in edges if e.du != (0, 0)]
-        if bad:
-            raise ConfigError(
-                "rotation averaging requires all edges at a single spatial position"
-            )
+        require_single_position(edges)
     return EdgeSet(edges=edges, spec=spec)

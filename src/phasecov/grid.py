@@ -13,6 +13,12 @@ from .errors import ConfigError, NumericalError
 MAX_SEED = 2 ** 64
 
 
+def require_seed_range(seed, count):
+    """ConfigError unless the ``count`` seeds from ``seed`` on stay below 2^64."""
+    if int(seed) + count > MAX_SEED:
+        raise ConfigError(f"seeds {seed} to {seed} + {count - 1} run past 2^64 - 1")
+
+
 def check_side(side):
     """Validate that ``side`` is a power-of-two integer >= 2."""
     side = int(side)

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -27,7 +29,7 @@ from phasecov.gaussian import (
     sample_gaussian,
     wavelet_covariance_targets,
 )
-from phasecov.graph import Edge, SymmetryGroup, build_foveal_edges, model_preset
+from phasecov.graph import Edge, ModelSpec, SymmetryGroup, build_foveal_edges, model_preset
 from phasecov.grid import translate, white_noise
 from phasecov.harmonics import (
     phase_harmonic,
@@ -216,15 +218,26 @@ def test_criterion_07_symmetry_structure():
     table = estimate_covariance(x, odd_edges, spec, bank)
     for key, val in table.cov.items():
         assert abs(val) <= 1e-12
-    spec_d = model_preset("D", J=2, Q=8)
-    bank_d = build_bump_bank(32, spec_d.J, spec_d.Q)
-    edges_d = build_foveal_edges(spec_d)
-    table_d = estimate_covariance(white_noise(32, 1.0, 8), edges_d, spec_d, bank_d)
-    reduced = angular_fourier_reduce(table_d, spec_d)
-    assert reduced.offdiag_energy < 1e-10 * reduced.total_energy
+    # model D holds one entry per relative angle; the custom spec holds
+    # many, so only a rotation average makes its blocks circulant
+    x = white_noise(32, 1.0, 8)
+    bank_r = build_bump_bank(32, 2, 8)
+    custom = ModelSpec(name="custom", J=2, Q=8, k_min=0, k_max=1, delta_n=0, delta_ell=4,
+                       group=SymmetryGroup(rotations=True))
+    ratios = []
+    for spec_r in (model_preset("D", J=2, Q=8), custom):
+        edges_r = build_foveal_edges(spec_r)
+        reduced = angular_fourier_reduce(estimate_covariance(x, edges_r, spec_r, bank_r), spec_r)
+        assert reduced.offdiag_energy < 1e-10 * reduced.total_energy
+        ratios.append(reduced.offdiag_energy / reduced.total_energy)
+    # control: the custom edges estimated without rotations
+    plain = replace(custom, group=SymmetryGroup())
+    control = angular_fourier_reduce(estimate_covariance(x, edges_r, plain, bank_r), custom)
+    assert control.offdiag_energy > 1e-10 * control.total_energy
     report(7, "sign-change averaging kills odd k+k' entries (1e-12); "
-              "Q-fold symmetrized table has angular-DFT off-diagonal energy "
-              f"{reduced.offdiag_energy / reduced.total_energy:.2e} of total")
+              "Q-fold symmetrized tables have angular-DFT off-diagonal energy "
+              f"{ratios[0]:.2e} (model D) and {ratios[1]:.2e} (custom, {len(edges_r)} edges) "
+              f"of total, {control.offdiag_energy / control.total_energy:.2e} unsymmetrized")
 
 
 def test_criterion_08_gaussian_maxent():

@@ -1,3 +1,6 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,7 +99,7 @@ class TestMeans:
         bank = build_bump_bank(16, spec.J, spec.Q)
         x = white_noise(16, 1.0, 2) + 0.5
         edges = [Edge((1, 1), 1, (2, 3), 2, (0, 0)), Edge((1, 0), 0, LOWPASS, 1, (0, 0)),
-                 Edge((2, 2), 0, (2, 0), 0, (0, 0)), Edge(LOWPASS, 2, LOWPASS, 2, (1, 0))]
+                 Edge((2, 2), 0, (2, 0), 0, (0, 0)), Edge(LOWPASS, 2, LOWPASS, 2, (0, 0))]
         means = estimate_mean(x, spec, bank, edges)
         fields = channel_fields(x, bank)
         assert set(means) == {(ch, k) for (row, k) in [(1, 1), (2, 2), (1, 0), (2, 0)]
@@ -324,11 +327,27 @@ class TestSpectralEngine:
         spec = model_preset("D", J=2, Q=4)
         bank = build_bump_bank(16, spec.J, spec.Q)
         edges = [Edge((1, 0), 1, LOWPASS, 1, (0, 0)), Edge(LOWPASS, 0, (2, 1), 2, (0, 0)),
-                 Edge((1, 0), 2, (2, 3), 1, (0, 0)), Edge(LOWPASS, 1, LOWPASS, 1, (1, 0))]
+                 Edge((1, 0), 2, (2, 3), 1, (0, 0)), Edge(LOWPASS, 1, LOWPASS, 1, (0, 0))]
         comp = EdgeComputer(edges, spec, bank)
         assert {key[0] for key in comp.pair_groups} == {"fix", "angular"}
         assert comp.pair_groups[("fix", (LOWPASS, 0), (2, 2))].shape == (1, 1, 1)
         assert_matches_spatial_reference(comp, white_noise(16, 1.0, 44), 45)
+
+    def test_lagged_low_pass_edge_under_rotations_rejected(self):
+        # rotations relabel angles and leave lags unturned: every edge, the
+        # low-pass pairs too, must sit at lag (0, 0)
+        spec = model_preset("D", J=2, Q=4)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        lagged = Edge(LOWPASS, 1, LOWPASS, 1, (1, 0))
+        edges = [Edge((1, 0), 1, (1, 2), 1, (0, 0)), lagged]
+        with pytest.raises(ConfigError, match=re.escape(repr(lagged))):
+            EdgeComputer(edges, spec, bank)
+        with pytest.raises(ConfigError, match=re.escape(repr(lagged))):
+            estimate_covariance(white_noise(16, 1.0, 54), edges, spec, bank)
+        # nor may a table estimated without rotations be reduced with it
+        table = estimate_covariance(white_noise(16, 1.0, 54), edges, tiny_spec(), bank)
+        with pytest.raises(ConfigError, match=re.escape(repr(lagged))):
+            angular_fourier_reduce(table, spec)
 
     @pytest.mark.parametrize("row_a, row_b, t1, t2", [
         ((1, 1), (1, 2), [0, 1, 8, 13], [15, 9, 0]),   # lags at and past side/2
@@ -397,8 +416,9 @@ class TestSpectralEngine:
                      Edge((2, 3), 2, (2, 0), 1, (0, 0))]
             edges += [] if rotations else [Edge((1, 2), 1, (1, 0), 1, (2, -1))]
         else:
-            edges = [Edge(LOWPASS, 1, LOWPASS, 1, (1, 0)), Edge(LOWPASS, 0, LOWPASS, 2, (0, 0)),
-                     Edge(LOWPASS, 2, LOWPASS, 1, (3, -2))]
+            lags = [(0, 0)] * 3 if rotations else [(1, 0), (0, 0), (3, -2)]
+            edges = [Edge(LOWPASS, k, LOWPASS, k2, du)
+                     for (k, k2), du in zip([(1, 1), (0, 2), (2, 1)], lags)]
         comp = EdgeComputer(edges, spec, bank)
         kinds = {key[0] for key in comp.pair_groups}
         if rows == "band":
@@ -525,16 +545,57 @@ class TestNormalization:
         assert str(key) in str(err.value)
 
 
+def rotated_custom(**kw):
+    """Custom rotated spec whose band blocks hold many entries per relative
+    angle, unlike model D's one."""
+    return ModelSpec(name="custom", **{"J": 2, "Q": 8, "k_min": 0, "k_max": 1, "delta_n": 0,
+                                       "delta_ell": 4, "group": SymmetryGroup(rotations=True),
+                                       **kw})
+
+
 class TestAngularReduction:
     def test_symmetrized_table_has_diagonal_dft(self):
         side = 32
-        spec = model_preset("D", J=2, Q=8)
-        bank = build_bump_bank(side, spec.J, spec.Q)
-        edges = build_foveal_edges(spec)
         x = white_noise(side, 1.0, 10)
-        table = estimate_covariance(x, edges, spec, bank)
-        reduced = angular_fourier_reduce(table, spec)
-        assert reduced.offdiag_energy < 1e-10 * reduced.total_energy
+        bank = build_bump_bank(side, 2, 8)
+        custom = rotated_custom()
+        for spec in (model_preset("D", J=2, Q=8), custom):
+            edges = build_foveal_edges(spec)
+            table = estimate_covariance(x, edges, spec, bank)
+            reduced = angular_fourier_reduce(table, spec)
+            assert reduced.offdiag_energy < 1e-10 * reduced.total_energy
+        # negative control: the custom edges estimated without rotations
+        table = estimate_covariance(x, edges, replace(custom, group=SymmetryGroup()), bank)
+        control = angular_fourier_reduce(table, custom)
+        assert control.offdiag_energy > 1e-10 * control.total_energy
+
+    @pytest.mark.parametrize("rotations", [True, False])
+    def test_reduction_matches_direct_angular_dft(self, rotations):
+        # one fully populated cross-scale block of moduli, with and without
+        # rotation averaging, against F M F^-1 computed directly
+        Q = 8
+        spec = rotated_custom(delta_j=1)
+        bank = build_bump_bank(16, spec.J, Q)
+        estimated = spec if rotations else replace(spec, group=SymmetryGroup())
+        table = estimate_covariance(white_noise(16, 1.0, 15), build_foveal_edges(spec),
+                                    estimated, bank)
+        block = {key: v for key, v in table.cov.items()
+                 if key[0] != LOWPASS and (key[0][0], key[1], key[2][0], key[3]) == (1, 0, 2, 0)}
+        M = np.zeros((Q, Q), dtype=complex)
+        for (ch, _, ch2, _, _), v in block.items():
+            M[ch[1], ch2[1]] = v
+        assert len(block) == Q * Q
+        F = np.exp(-2j * np.pi * np.outer(np.arange(Q), np.arange(Q)) / Q)
+        Mhat = F @ M @ np.conj(F).T / Q
+        reduced = angular_fourier_reduce(replace(table, cov=block), spec)
+        assert set(reduced.entries) == {(1, 0, 2, 0, m) for m in range(Q)}
+        scale = np.max(np.abs(Mhat))
+        for m in range(Q):
+            assert abs(reduced.entries[(1, 0, 2, 0, m)] - Mhat[m, m]) < 1e-12 * scale
+        off = np.sum(np.abs(Mhat - np.diag(np.diag(Mhat))) ** 2)
+        assert abs(reduced.offdiag_energy - off) < 1e-12 * scale ** 2
+        assert abs(reduced.total_energy - np.sum(np.abs(Mhat) ** 2)) < 1e-12 * scale ** 2
+        assert (off > 1e-10 * reduced.total_energy) != rotations
 
     def test_reduction_size_factor(self):
         spec = model_preset("D", J=2, Q=8)

@@ -3,6 +3,7 @@ import pytest
 from phasecov.errors import ConfigError
 from phasecov.graph import (
     ModelSpec,
+    PRESETS,
     SymmetryGroup,
     ball_offsets,
     build_foveal_edges,
@@ -110,6 +111,20 @@ class TestEdgeSets:
         for k_min, k_max in ((0, 0), (2, 3)):
             with pytest.raises(ConfigError, match="k_min <= 1 <= k_max"):
                 ModelSpec(k_min=k_min, k_max=k_max).validate()
+
+    def test_hand_built_preset_spec_holds_the_preset_values(self):
+        # model B's builder reads neither k_max nor delta_j: a spec that sets
+        # them otherwise would build the preset's edges under another name
+        for field, value in (("k_max", 2), ("delta_j", 1), ("k_min", -1)):
+            kw = {**PRESETS["B"].values(4), field: value}
+            with pytest.raises(ConfigError, match=f"model B fixes {field}="):
+                ModelSpec(name="B", J=2, Q=4, **kw).validate()
+        for name, preset in PRESETS.items():
+            values = {k: v for k, v in preset.values(8).items() if k != "group"}
+            assert ModelSpec(name=name, J=3, Q=8, **values).validate().name == name
+        # the fields a preset reads and the group stay free
+        ModelSpec(name="b", J=2, Q=4, **{**PRESETS["B"].values(4), "delta_n": 0, "delta_ell": 2},
+                  group=SymmetryGroup(sign_change=True)).validate()
 
     def test_rotations_require_single_position(self):
         spec = model_preset("C", J=2, Q=4, group=SymmetryGroup(rotations=True))

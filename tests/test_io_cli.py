@@ -700,6 +700,22 @@ class TestCli:
         assert (out / "spectrum.phkf").exists()
         assert not (out / "losses.csv").exists()  # no optimizer ran
 
+    @pytest.mark.parametrize("seed, code", [(2 ** 64 - 1, 2), (2 ** 64 - 2, 0)])
+    def test_synth_model_a_seed_range_checked_before_the_fit(self, tmp_path, capsys, seed, code):
+        # two samples draw seeds seed and seed + 1, which must stay below 2^64
+        path, _ = self._field(tmp_path, side=16, seed=3)
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "A", "J": 2, "Q": 4, "delta_n": 1}, "seed": seed, "restarts": 2,
+        })
+        out = tmp_path / "ga"
+        assert main(["synth", str(path), "--config", cfg, "--out", str(out)]) == code
+        if code:
+            assert "run past 2^64 - 1" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert sorted(p.name for p in out.iterdir()) == [
+                "fit.json", "sample_000.phkf", "sample_001.phkf", "spectrum.phkf"]
+
     def test_synth_model_a_not_converged_writes_then_exits_3(self, tmp_path, monkeypatch):
         path, _ = self._field(tmp_path, side=16, seed=3)
         cfg = write_config(tmp_path / "cfg.json", {
