@@ -23,6 +23,13 @@ sums of all band rows at once; :func:`gaussianity_report` reads zero-lag
 edges and :mod:`phasecov.evaluation` full lag maps (:func:`lag_correlations`),
 each from a translation-only computer.
 
+Fields are real.  Band filter (j, ell + Q/2) is filter (j, ell) at -w, so a
+real field has y_{j,ell+Q/2} = conj(y_{j,ell}) and, as [conj z]^k =
+conj([z]^k), every harmonic slice of angle ell + Q/2 is the conjugate of
+that of ell; the low-pass slice is real.  The correlation of slices
+(ell + Q/2, ell' + Q/2) at any lag is therefore the conjugate of that of
+(ell, ell'), and :class:`EdgeComputer` computes only one of each such pair.
+
 Further group flags act by channel relabeling (never by image resampling):
 rotations shift the angular index of both vertices (valid for edges at a
 single spatial position), the line reflection maps ell -> -ell and flips the
@@ -187,16 +194,28 @@ class EdgeComputer:
       products, E1^T X E2, so no temporary exceeds one row and no lag plane
       is transformed.
 
-    A group stores its members' edge indices, weights and the positions they
-    read in its map: (slice pair, lag index, lag index) for a fix group,
-    (diagonal offset, band row, band row) in the (Q, R, R) table for the
-    angular group.  The gradient scatters the cotangents onto that map.  A
-    fix layer's grids become spectra G = E1 grid E2^T and add B conj(G) and
-    A G to Fourier accumulators of the rows.  The angular table's
-    cotangents, Fourier transformed along the diagonal offset to Gamma_m,
-    turn each S_m into (conj(Gamma_m) + Gamma_m^T) S_m in place (without an
-    angular group the band buffer is zeroed), the accumulators are added in,
-    and one inverse FFT per buffer gives the gradient plane of every slice.
+    The field must be real (:meth:`harmonic_rows` rejects a complex one):
+    then slice pair ((sa + Q/2) mod Q, (sb + Q/2) mod Q), a low-pass slice
+    being its own partner, correlates to the conjugate of (sa, sb) at every
+    lag.  Without rotations a fix group's term reads the lexicographically
+    smaller pair of the two, conjugated when it is the partner, so its
+    layers hold canonical slice pairs only.  Under rotations a fix group
+    reads a band row's m = 0 component, not an angle, and nothing is folded.
+
+    A group stores its members' edge indices, weights, conjugation flags and
+    the positions they read in its map: (slice pair, lag index, lag index)
+    for a fix group, (diagonal offset, band row, band row) in the (Q, R, R)
+    table for the angular group.  The gradient scatters the cotangents,
+    conjugated where the read is, onto that map.  A fix layer's grids become
+    spectra G = E1 grid E2^T and add B conj(G) and A G to Fourier
+    accumulators of the rows.  The angular table's cotangents, Fourier
+    transformed along the diagonal offset to Gamma_m, turn each S_m into
+    (conj(Gamma_m) + Gamma_m^T) S_m in place (without an angular group the
+    band buffer is zeroed), the accumulators are added in, and one inverse
+    FFT per buffer gives the gradient plane of every slice.  Each band
+    slice's plane is folded onto its partner's, as y_{ell+Q/2} = conj(y_ell),
+    so the chain through the harmonics and the filters runs for ell < Q/2
+    only.
     """
 
     def __init__(self, edges, spec, bank):
@@ -240,8 +259,10 @@ class EdgeComputer:
         """Group the orbit terms of all edges.  Under rotations a band x band
         term reads the circulant diagonal (sb - sa) mod Q of its row pair in
         the angular table, and a low-pass x band term the band row's m = 0
-        slice; every other term joins the fix group of its row pair.  Flat
-        lists, not one object per term, keep set-up memory flat."""
+        slice; every other term joins the fix group of its row pair.  Without
+        rotations a term whose partner slice pair is smaller reads the
+        partner, conjugated.  Flat lists, not one object per term, keep
+        set-up memory flat."""
         Q, n, group = self.Q, self.bank.side, self.group
         band = {rk: r for rk, (b, r) in self.slot.items() if b == 0 and self.rotated}
         terms = {}  # (row_a, row_b) -> flat runs of (edge index, weight, sa, sb, t1, t2)
@@ -260,9 +281,17 @@ class EdgeComputer:
             t = np.array(angular).reshape(-1, 5)
             pos = t[:, 2:].astype(int)
             self.pair_groups[("angular",)] = _Group(
-                t[:, 0].astype(int), t[:, 1], tuple(pos.T), (Q,) + (len(band),) * 2)
+                t[:, 0].astype(int), t[:, 1], np.zeros(len(t), dtype=bool), tuple(pos.T),
+                (Q,) + (len(band),) * 2)
         for (ra, rb), flat in terms.items():
-            self.pair_groups[("fix", ra, rb)] = _window_group(np.array(flat).reshape(-1, 6), n, Q)
+            t = np.array(flat).reshape(-1, 6)
+            flip = np.zeros(len(t), dtype=bool)
+            if not self.rotated:
+                # partner slices: a band slice turns by Q/2, a low-pass one stays
+                part = (t[:, 2:4] + [Q // 2 * (row[0] != LOWPASS) for row in (ra, rb)]) % Q
+                flip = (part[:, 0] < t[:, 2]) | (part[:, 0] == t[:, 2]) & (part[:, 1] < t[:, 3])
+                t[flip, 2:4] = part[flip]
+            self.pair_groups[("fix", ra, rb)] = _window_group(t, flip, n, Q)
 
     def _orbit(self, ch):
         """Weighted images of a channel under the group's channel relabelings."""
@@ -281,20 +310,24 @@ class EdgeComputer:
 
     def harmonic_rows(self, x, means=None):
         """Centered spectra of every harmonic row of ``x`` (:class:`Rows`),
-        the means they are centered on, and the channel fields the rows
-        stack (only those are computed).
+        the means they are centered on, and the channel fields that the
+        gradient chain reads: those the rows stack (only those are computed)
+        at angles ell < Q/2, and the low-pass.
 
         Both buffers are filled with the harmonic fields and transformed in
         place; the raw slice means are then their DC bins.  With ``means``
         None they are averaged over the channel orbit
         (:meth:`averaged_means`); the means are subtracted at the DC bins.
         Under rotations the band buffer is last transformed along the angle.
+        A complex ``x`` is rejected: the conjugate fold holds for real fields.
         """
+        _require_real(x)
         fields = channel_fields(x, self.bank, self.channels)
         rows = Rows(*(np.empty(s + np.shape(x), dtype=complex) for s in self.shapes))
         for rk, (b, r) in self.slot.items():
             for s, (ch, k) in enumerate(self.keys[rk]):
                 rows[b][s, r] = phase_harmonic(fields[ch], k)
+        fields = {ch: y for ch, y in fields.items() if ch == LOWPASS or ch[1] < self.Q // 2}
         for buf in rows:
             np.fft.fft2(buf, norm="forward", out=buf)
         if means is None:
@@ -341,7 +374,8 @@ class EdgeComputer:
                 a, b = self.slices(spectra, key[1]), self.slices(spectra, key[2])
                 t = np.concatenate([g.window.correlations(_cross_spectra(a, b, layer))
                                     for layer in g.layers])
-            np.add.at(vals, g.idx, g.w * t[g.pos])
+            v = g.w * t[g.pos]
+            np.add.at(vals, g.idx, np.conjugate(v, out=v, where=g.conj))
         return vals * self.sign_factor
 
     def diagonals(self, spectra):
@@ -369,25 +403,31 @@ class EdgeComputer:
         accumulated as B conj(G) and A G, G = E1 g E2^T.  The angular table's
         cotangents Gamma, Fourier transformed along the diagonal offset, turn
         S_m into (conj(Gamma_m) + Gamma_m^T) S_m; without an angular group the
-        band buffer is zeroed, and the low-pass buffer always is.  Each
-        accumulator is then added into its row's slices, and one inverse FFT
-        per buffer over its FFT axes inverts every row (``spectra`` is used
-        up).
+        band buffer is zeroed.  The accumulators, one block per buffer, are
+        then added into the band buffer and copied into the low-pass one, and
+        one inverse FFT per buffer over its FFT axes inverts every row
+        (``spectra`` is used up).  Band slice ell + Q/2 is conj(slice ell), so
+        its plane is folded, conjugated, onto ell in place, and only
+        ell < Q/2 is chained through the harmonic (pe itself at k = 1,
+        conj(pe) at k = -1) and the filter.
         """
-        n = self.bank.side
-        acc = {}
+        n, h = self.bank.side, self.Q // 2
+        s = spectra.band
+        # Fourier accumulators of the slices that lag windows read, in one
+        # block per buffer
+        acc = Rows(np.zeros(s[self.view].shape, dtype=complex),
+                   np.zeros(spectra.low.shape, dtype=complex))
         cot = cot * self.sign_factor
         gamma = None
         for key, g in self.pair_groups.items():
             grid = np.zeros(g.shape, dtype=complex)
-            np.add.at(grid, g.pos, cot[g.idx] * g.w)
+            c = cot[g.idx] * g.w
+            np.add.at(grid, g.pos, np.conjugate(c, out=c, where=g.conj))
             if key[0] == "angular":
                 gamma = np.fft.fft(grid, axis=0)
                 continue
             a, b = self.slices(spectra, key[1]), self.slices(spectra, key[2])
-            for rk, v in ((key[1], a), (key[2], b)):  # allocate only a row not yet held
-                acc[rk] = acc[rk] if rk in acc else np.zeros_like(v)
-            acc_a, acc_b = acc[key[1]], acc[key[2]]
+            acc_a, acc_b = self.slices(acc, key[1]), self.slices(acc, key[2])
             win, start = g.window, 0
             for layer in g.layers:
                 ghat = win.spectra(grid[start:start + len(layer)])
@@ -397,7 +437,6 @@ class EdgeComputer:
                     tb += win.tiles(a[p]) * gh
                     ta = win.tiles(acc_a[p])
                     ta += win.tiles(b[q]) * np.conj(gh)
-        s = spectra.band
         if gamma is None:
             s[...] = 0
         else:
@@ -407,18 +446,24 @@ class EdgeComputer:
                 sm = s[m].reshape(r, -1)
                 np.matmul(np.conj(gamma[m]) + gamma[m].T, sm, out=prod)
                 sm[...] = prod
-        spectra.low[...] = 0
-        for rk in list(acc):
-            v = self.slices(spectra, rk)
-            v += acc.pop(rk)
+        s[self.view] += acc.band
+        spectra.low[...] = acc.low
+        del acc  # freed before the chain allocates its planes
         for buf, axes in zip(spectra, self.axes):
             np.fft.ifftn(buf, axes=axes, out=buf)
+        upper = s[h:]
+        s[:h] += np.conjugate(upper, out=upper)
         # chain through the phase harmonic and back through the filters
         per_channel = {}
         for rk, (b, r) in self.slot.items():
-            for (ch, k), pe in zip(self.keys[rk], np.conj(spectra[b][:, r])):
-                d1, d2 = harmonic_derivative(fields[ch], k)
-                per_channel[ch] = per_channel.get(ch, 0) + (pe * d1 + np.conj(pe) * np.conj(d2))
+            keys = self.keys[rk][:h]  # the low-pass row's one slice, or ell < Q/2
+            for (ch, k), pe in zip(keys, np.conj(spectra[b][:len(keys), r])):
+                if abs(k) == 1:
+                    term = pe if k == 1 else np.conj(pe)
+                else:
+                    d1, d2 = harmonic_derivative(fields[ch], k)
+                    term = pe * d1 + np.conj(pe) * np.conj(d2)
+                per_channel[ch] = per_channel.get(ch, 0) + term
         total_hat = np.zeros((n, n), dtype=complex)
         for ch, g in per_channel.items():
             total_hat += self.bank.filter(ch) * np.fft.ifft2(g)
@@ -426,14 +471,16 @@ class EdgeComputer:
 
 
 class _Group(NamedTuple):
-    """Members of one pair group: edge indices, weights, the position each
-    reads in the group's map and the map's shape.  A fix group's map stacks
-    the lag boxes of its slice pairs, layer by layer; ``layers`` lists the
-    slice pairs (sa, sb) of each layer and ``window`` reads the lag box.  The
-    angular group's map is the (Q, R, R) table of diagonal sums."""
+    """Members of one pair group: edge indices, weights, whether each reads
+    the conjugate of its entry, the position each reads in the group's map
+    and the map's shape.  A fix group's map stacks the lag boxes of its
+    slice pairs, layer by layer; ``layers`` lists the slice pairs (sa, sb) of
+    each layer and ``window`` reads the lag box.  The angular group's map is
+    the (Q, R, R) table of diagonal sums."""
 
     idx: np.ndarray
     w: np.ndarray
+    conj: np.ndarray
     pos: tuple
     shape: tuple
     layers: list = ()
@@ -449,11 +496,17 @@ def _cross_spectra(a, b, layer):
     return x
 
 
-def _window_group(t, n, Q):
+def _require_real(x):
+    if np.iscomplexobj(x):
+        raise ConfigError("the field must be real: angle ell + Q/2 is read as the conjugate of ell")
+
+
+def _window_group(t, conj, n, Q):
     """Fix group of one row pair from its terms, rows of (edge index, weight,
-    sa, sb, t1, t2): the lag box and its window, and the slice pairs in
-    layers, one per angular offset (sb - sa) mod Q.  A slice of either row
-    occurs at most once in a layer, also when one row is the low-pass."""
+    sa, sb, t1, t2), and their conjugation flags: the lag box and its window,
+    and the slice pairs in layers, one per angular offset (sb - sa) mod Q.  A
+    slice of either row occurs at most once in a layer, also when one row is
+    the low-pass."""
     t1, i1 = np.unique(t[:, 4].astype(int), return_inverse=True)
     t2, i2 = np.unique(t[:, 5].astype(int), return_inverse=True)
     sa, sb = t[:, 2].astype(int), t[:, 3].astype(int)
@@ -463,7 +516,7 @@ def _window_group(t, n, Q):
     cuts = np.flatnonzero(np.diff(offset)) + 1
     layers = [list(zip(la.tolist(), lb.tolist()))
               for la, lb in zip(np.split(pa, cuts), np.split(pb, cuts))]
-    return _Group(t[:, 0].astype(int), t[:, 1], (stacked, i1, i2),
+    return _Group(t[:, 0].astype(int), t[:, 1], conj, (stacked, i1, i2),
                   (len(codes), len(t1), len(t2)), layers, LagWindow(t1, t2, n))
 
 
@@ -660,18 +713,23 @@ def channel_center(bank, channel):
 
 
 def sparsity_ratios(fields_list, bank):
-    """E(|y|)^2 / E(|y|^2) per band channel over one or more fields."""
-    sums1 = {c: 0.0 for c in bank.channels() if c != LOWPASS}
+    """E(|y|)^2 / E(|y|^2) per band channel over one or more real fields.
+    Channel (j, ell + Q/2) is the conjugate of (j, ell), so only ell < Q/2 is
+    computed and the partner gets the same ratio."""
+    h = bank.Q // 2
+    sums1 = {c: 0.0 for c in bank.channels() if c != LOWPASS and c[1] < h}
     sums2 = {c: 0.0 for c in sums1}
     count = 0
     for x in fields_list:
+        _require_real(x)
         fields = channel_fields(x, bank, channels=list(sums1))
         for c, y in fields.items():
             a = np.abs(y)
             sums1[c] += float(a.sum())
             sums2[c] += float((a * a).sum())
         count += x.size
-    return {c: (sums1[c] / count) ** 2 / (sums2[c] / count) for c in sums1}
+    return {(j, ell): (sums1[(j, ell % h)] / count) ** 2 / (sums2[(j, ell % h)] / count)
+            for (j, ell) in bank.filters}
 
 
 def gaussianity_report(fields, bank, threshold=0.05):

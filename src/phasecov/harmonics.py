@@ -64,14 +64,10 @@ def harmonic_derivative(z, k):
     d[z]^k/dz* = ((1-k)/2) e^{i(k+1) phi(z)}
 
     At z = 0 the same formulas are applied with phi = 0.  Both powers come
-    from one unit phasor.  At k = +-1 the pair is (1, 0) or (0, 1): the
-    power whose coefficient vanishes is not computed.
+    from one unit phasor.
     """
     z = np.asarray(z, dtype=complex)
     k = int(k)
-    if abs(k) == 1:
-        one, zero = np.ones_like(z), np.zeros_like(z)
-        return (one, zero) if k == 1 else (zero, one)
     u = unit_phase(z)
     return 0.5 * (k + 1) * phasor_power(u, k - 1), 0.5 * (1 - k) * phasor_power(u, k + 1)
 

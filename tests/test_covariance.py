@@ -160,6 +160,17 @@ class TestCovariance:
         with pytest.raises(ConfigError):
             estimate_covariance(white_noise(16, 1.0, 0), bad, spec, bank)
 
+    def test_complex_field_rejected(self):
+        # angle ell + Q/2 is read as the conjugate of ell, which holds for
+        # real fields only
+        spec = tiny_spec()
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        x = white_noise(16, 1.0, 0) + 1j * white_noise(16, 1.0, 1)
+        with pytest.raises(ConfigError, match="must be real"):
+            estimate_covariance(x, build_foveal_edges(spec), spec, bank)
+        with pytest.raises(ConfigError, match="must be real"):
+            sparsity_ratios([x.real, x], bank)
+
     @pytest.mark.parametrize("J, Q", [(2, 8), (3, 4)])
     def test_bank_spec_mismatch_rejected(self, J, Q):
         spec = tiny_spec()
@@ -390,7 +401,8 @@ class TestSpectralEngine:
         assert len(lagged.layers) >= 3  # slice 0 pairs with three partners
         for layer in lagged.layers:
             assert len({p for p, _ in layer}) == len({q for _, q in layer}) == len(layer)
-        assert comp.pair_groups[("fix", (1, 0), (2, 2))].shape == (2, 1, 1)
+        # at Q = 4 slice pairs (0, 0) and (2, 2) are conjugate partners: one is read
+        assert comp.pair_groups[("fix", (1, 0), (2, 2))].shape == (1, 1, 1)
         assert_matches_spatial_reference(comp, white_noise(16, 1.0, 48), 49)
 
     def test_dense_zero_lag_without_rotations_reads_a_window(self):
@@ -401,7 +413,8 @@ class TestSpectralEngine:
         edges = [Edge((1, la), 1, (2, lb), 2, (0, 0)) for la in range(4) for lb in range(4)]
         comp = EdgeComputer(edges, spec, bank)
         assert list(comp.pair_groups) == [("fix", (1, 1), (2, 2))]
-        assert comp.pair_groups[("fix", (1, 1), (2, 2))].shape == (16, 1, 1)
+        # the 16 angle pairs read 8 slice pairs and their conjugate partners
+        assert comp.pair_groups[("fix", (1, 1), (2, 2))].shape == (8, 1, 1)
         assert_matches_spatial_reference(comp, white_noise(16, 1.0, 50), 51)
 
     @pytest.mark.parametrize("rotations", [False, True])
@@ -440,8 +453,9 @@ class TestSpectralEngine:
         value_and_grad(white_noise(32, 1.0, 42), target)
         # 1 + C for the channel fields, one forward and one inverse transform
         # per row buffer, 3 along the angle under rotations (the band buffer,
-        # the angular table and its cotangents), C chain transforms and 1 final
-        assert len(calls) <= 2 * len(comp.bank.channels()) + 9
+        # the angular table and its cotangents), J Q/2 + 1 chain transforms
+        # (angle ell + Q/2 is folded onto ell) and 1 final
+        assert len(calls) <= len(comp.bank.channels()) + comp.bank.J * comp.Q // 2 + 10
 
     def test_diagonals_match_spatial_power(self):
         target = engine_target("C-reflections-sign")

@@ -255,3 +255,20 @@ class TestFoldSpectrum:
         xhat = np.fft.fft2(x)
         sub = np.fft.ifft2(fold_spectrum(xhat, 4))
         assert np.max(np.abs(sub - x[::4, ::4])) < 1e-12
+
+
+class TestOppositeAngles:
+    @pytest.mark.parametrize("side, J, Q", [(16, 2, 4), (64, 5, 16)])
+    def test_opposite_angle_is_conjugate_for_real_fields(self, side, J, Q):
+        # filter (j, ell + Q/2) is filter (j, ell) at -w, so a real field has
+        # y_{j, ell + Q/2} = conj(y_{j, ell}): the identity the covariance
+        # engine folds conjugate slice pairs on
+        bank = build_bump_bank(side, J, Q)
+        fields = channel_fields(white_noise(side, 1.0, 8), bank)
+        for j in range(1, J + 1):
+            for ell in range(Q // 2):
+                f, g = bank.filter((j, ell)), bank.filter((j, ell + Q // 2))
+                mirrored = np.roll(f[::-1, ::-1], (1, 1), axis=(0, 1))  # f(-w)
+                assert np.max(np.abs(g - mirrored)) < 1e-14 * np.max(np.abs(f)), (j, ell)
+                y, y2 = fields[(j, ell)], fields[(j, ell + Q // 2)]
+                assert np.max(np.abs(y2 - np.conj(y))) < 1e-14 * np.max(np.abs(y)), (j, ell)
