@@ -26,9 +26,10 @@ each from a translation-only computer.
 Fields are real.  Band filter (j, ell + Q/2) is filter (j, ell) at -w, so a
 real field has y_{j,ell+Q/2} = conj(y_{j,ell}) and, as [conj z]^k =
 conj([z]^k), every harmonic slice of angle ell + Q/2 is the conjugate of
-that of ell; the low-pass slice is real.  The correlation of slices
-(ell + Q/2, ell' + Q/2) at any lag is therefore the conjugate of that of
-(ell, ell'), and :class:`EdgeComputer` computes only one of each such pair.
+that of ell, with spectrum conj(S_ell(-w)); the low-pass slice is real.
+So only angles ell < Q/2 are computed, and the correlation of slices
+(ell + Q/2, ell' + Q/2) at any lag is the conjugate of that of (ell, ell'):
+:class:`EdgeComputer` computes only one of each such pair.
 
 Further group flags act by channel relabeling (never by image resampling):
 rotations shift the angular index of both vertices (valid for edges at a
@@ -167,9 +168,9 @@ class EdgeComputer:
 
     Every harmonic row of a field lives in one of two buffers (:class:`Rows`),
     the band rows in (Q, R, N, N) and the low-pass rows in (1, L, N, N), with
-    or without rotations, and each buffer is transformed once per field, in
-    place, and centered at its DC bins (:meth:`harmonic_rows`).  The rotation
-    flag decides only the FFT axes (under rotations the band buffer is also
+    or without rotations, filled for ell < Q/2, mirrored to ell + Q/2 and
+    centered once per field (:meth:`harmonic_rows`).  The rotation flag
+    decides only the FFT axes (under rotations the band buffer is also
     transformed along the angle), which slices of a band row lag windows
     read (its Q slices, or under rotations its m = 0 component, the mean of
     its slices over the angles), and how the orbit terms of all edges are
@@ -180,8 +181,9 @@ class EdgeComputer:
       These are diagonal in the angular Fourier index m: with S the band
       buffer's angular-and-spatial spectra, the Q Gram matrices
       C[m] = S_m S_m^H (R x R each), Fourier transformed along m, hold every
-      diagonal sum of every band row pair.  All such terms form one
-      "angular" group, keyed ("angular",), that reads the (Q, R, R) table;
+      diagonal sum of every band row pair (C[-m] = conj(C[m]) for a real
+      field, so m <= Q/2 is formed).  All such terms form one "angular"
+      group, keyed ("angular",), that reads the (Q, R, R) table;
     * every other row pair forms a "fix" group, keyed ("fix", row_a, row_b):
       low-pass rows, all row pairs without rotations, and a low-pass x band
       rotation average, which reads the band row's m = 0 component.  A fix
@@ -211,11 +213,10 @@ class EdgeComputer:
     accumulators of the rows.  The angular table's cotangents, Fourier
     transformed along the diagonal offset to Gamma_m, turn each S_m into
     (conj(Gamma_m) + Gamma_m^T) S_m in place (without an angular group the
-    band buffer is zeroed), the accumulators are added in, and one inverse
-    FFT per buffer gives the gradient plane of every slice.  Each band
-    slice's plane is folded onto its partner's, as y_{ell+Q/2} = conj(y_ell),
-    so the chain through the harmonics and the filters runs for ell < Q/2
-    only.
+    band buffer is zeroed) and the accumulators are added in.  Each upper
+    band slice's spectrum is folded onto its partner's, as y_{ell+Q/2} =
+    conj(y_ell), so the inverse FFTs and the chain through the harmonics
+    and the filters run for ell < Q/2 only.
     """
 
     def __init__(self, edges, spec, bank):
@@ -236,16 +237,19 @@ class EdgeComputer:
         self.classes = list(dict.fromkeys(
             vk for e in self.edges for vk in ((e.ch, e.k), (e.ch2, e.k2))))
         self.rows = list(dict.fromkeys(slice_of(*vk)[0] for vk in self.classes))
-        band = [rk for rk in self.rows if rk[0] != LOWPASS]
-        low = [rk for rk in self.rows if rk[0] == LOWPASS]
+        # each buffer's rows, the linear (k = 1) ones last: never transformed
+        band, low = ([rk for rk in sorted(self.rows, key=lambda rk: rk[1] == 1)
+                      if (rk[0] == LOWPASS) == is_low] for is_low in (False, True))
+        self.harmonic = tuple(sum(rk[1] != 1 for rk in rows) for rows in (band, low))
         # row -> (buffer, row index): buffer 0 holds the band rows, 1 the low-pass rows
         self.slot = {rk: (0, r) for r, rk in enumerate(band)}
         self.slot.update((rk, (1, r)) for r, rk in enumerate(low))
         # (channel, k) of each slice of a row
         self.keys = {(row, k): [(ch, k) for ch in row_channels(row, self.Q)]
                      for (row, k) in self.rows}
-        # the channel fields the rows stack
-        self.channels = list(dict.fromkeys(ch for rk in self.rows for (ch, _) in self.keys[rk]))
+        # the channel fields the harmonic rows stack at ell < Q/2, or the low-pass
+        self.channels = list(dict.fromkeys(
+            ch for rk in self.rows if rk[1] != 1 for (ch, _) in self.keys[rk][:self.Q // 2]))
         self.shapes = ((self.Q, len(band)), (1, len(low)))
         self.rotated = self.group.rotations and self.Q > 1
         # FFT axes of each buffer, and the slices of a row that lag windows read
@@ -310,26 +314,29 @@ class EdgeComputer:
 
     def harmonic_rows(self, x, means=None):
         """Centered spectra of every harmonic row of ``x`` (:class:`Rows`),
-        the means they are centered on, and the channel fields that the
-        gradient chain reads: those the rows stack (only those are computed)
-        at angles ell < Q/2, and the low-pass.
+        the means they are centered on, and the channel fields (computed
+        only for rows with k != 1, at ell < Q/2 or the low-pass).
 
-        Both buffers are filled with the harmonic fields and transformed in
-        place; the raw slice means are then their DC bins.  With ``means``
-        None they are averaged over the channel orbit
-        (:meth:`averaged_means`); the means are subtracted at the DC bins.
-        Under rotations the band buffer is last transformed along the angle.
-        A complex ``x`` is rejected: the conjugate fold holds for real fields.
+        Slices ell < Q/2 are filled with their harmonic fields and
+        transformed in place, at k = 1 filled as psi_hat x_hat / d; slice
+        ell + Q/2 is written as conj(S_ell(-w)).  The raw slice means are
+        then the DC bins.  With ``means`` None they are averaged over the
+        channel orbit (:meth:`averaged_means`); the means are subtracted at
+        the DC bins.  Under rotations the band buffer is last transformed
+        along the angle.  A complex ``x`` is rejected: the mirror needs a real one.
         """
         _require_real(x)
+        h = self.Q // 2
         fields = channel_fields(x, self.bank, self.channels)
+        xhat = np.fft.fft2(x, norm="forward")
         rows = Rows(*(np.empty(s + np.shape(x), dtype=complex) for s in self.shapes))
         for rk, (b, r) in self.slot.items():
-            for s, (ch, k) in enumerate(self.keys[rk]):
-                rows[b][s, r] = phase_harmonic(fields[ch], k)
-        fields = {ch: y for ch, y in fields.items() if ch == LOWPASS or ch[1] < self.Q // 2}
-        for buf in rows:
-            np.fft.fft2(buf, norm="forward", out=buf)
+            for s, (ch, k) in enumerate(self.keys[rk][:h]):
+                rows[b][s, r] = self.bank.filter(ch) * xhat if k == 1 else phase_harmonic(fields[ch], k)
+        for buf, m in zip(rows, self.harmonic):
+            np.fft.fft2(buf[:h, :m], norm="forward", out=buf[:h, :m])
+        for upper, lower in _minus_w(rows.band[h:], rows.band[:h]):
+            np.conjugate(lower, out=upper)
         if means is None:
             means = self.averaged_means({
                 vk: complex(m) for rk, (b, r) in self.slot.items()
@@ -356,13 +363,14 @@ class EdgeComputer:
         """(Q, R, R) table, for each diagonal offset delta and band row pair,
         of (1/Q) sum_ell G[ell, ell + delta] with G the Gram matrix of the two
         rows' slice spectra: the FFT along m of the Gram matrices
-        C[m] = S_m S_m^H of the angular-and-spatial spectra ``s``."""
+        C[m] = S_m S_m^H of the angular-and-spatial spectra ``s``, formed for
+        m <= Q/2: S_{-m}(w) = (-1)^m conj(S_m(-w)), so C[-m] = conj(C[m])."""
         q, r = s.shape[:2]
-        c = np.empty((q, r, r), dtype=complex)
-        for m in range(q):
+        c = np.empty((q // 2 + 1, r, r), dtype=complex)
+        for m in range(len(c)):
             sm = s[m].reshape(r, -1)
             np.matmul(sm, np.conj(sm).T, out=c[m])
-        return np.fft.fft(c, axis=0)
+        return np.fft.hfft(c, n=q, axis=0)
 
     def edge_values(self, spectra):
         """All edge covariances from :meth:`harmonic_rows` spectra."""
@@ -404,12 +412,13 @@ class EdgeComputer:
         cotangents Gamma, Fourier transformed along the diagonal offset, turn
         S_m into (conj(Gamma_m) + Gamma_m^T) S_m; without an angular group the
         band buffer is zeroed.  The accumulators, one block per buffer, are
-        then added into the band buffer and copied into the low-pass one, and
-        one inverse FFT per buffer over its FFT axes inverts every row
-        (``spectra`` is used up).  Band slice ell + Q/2 is conj(slice ell), so
-        its plane is folded, conjugated, onto ell in place, and only
-        ell < Q/2 is chained through the harmonic (pe itself at k = 1,
-        conj(pe) at k = -1) and the filter.
+        then added into the band buffer and copied into the low-pass one
+        (``spectra`` is used up; under rotations the band buffer is then
+        inverse transformed along the angle).  Band slice ell + Q/2 is
+        conj(slice ell), so P_ell += conj(P_{ell+Q/2}(-w)) in place, and only
+        slices ell < Q/2 of rows with k != 1 are inverse transformed and
+        chained through the harmonic (conj(pe) at k = -1) and the filter.  A
+        k = 1 slice's chain term pe = conj(ifft2(P)) has spectrum conj(P) / d.
         """
         n, h = self.bank.side, self.Q // 2
         s = spectra.band
@@ -449,22 +458,28 @@ class EdgeComputer:
         s[self.view] += acc.band
         spectra.low[...] = acc.low
         del acc  # freed before the chain allocates its planes
-        for buf, axes in zip(spectra, self.axes):
-            np.fft.ifftn(buf, axes=axes, out=buf)
+        if self.rotated:
+            np.fft.ifft(s, axis=0, out=s)
         upper = s[h:]
-        s[:h] += np.conjugate(upper, out=upper)
+        np.conjugate(upper, out=upper)
+        for lower, mirrored in _minus_w(s[:h], upper):
+            lower += mirrored
+        for buf, m in zip(spectra, self.harmonic):
+            # ifftn, not ifft2: numpy 2.4's ifft2 ignores ``out``
+            np.fft.ifftn(buf[:h, :m], axes=(2, 3), out=buf[:h, :m])
         # chain through the phase harmonic and back through the filters
         per_channel = {}
-        for rk, (b, r) in self.slot.items():
-            keys = self.keys[rk][:h]  # the low-pass row's one slice, or ell < Q/2
-            for (ch, k), pe in zip(keys, np.conj(spectra[b][:len(keys), r])):
-                if abs(k) == 1:
-                    term = pe if k == 1 else np.conj(pe)
-                else:
-                    d1, d2 = harmonic_derivative(fields[ch], k)
-                    term = pe * d1 + np.conj(pe) * np.conj(d2)
-                per_channel[ch] = per_channel.get(ch, 0) + term
         total_hat = np.zeros((n, n), dtype=complex)
+        for rk, (b, r) in self.slot.items():
+            # the low-pass row's one slice, or ell < Q/2; pe = conj(p)
+            for (ch, k), p in zip(self.keys[rk][:h], spectra[b][:h, r]):
+                if k == 1:  # p is still P, and pe has the spectrum conj(P) / d
+                    total_hat += self.bank.filter(ch) * np.conj(p) / self.bank.d
+                    continue
+                if k != -1:
+                    d1, d2 = harmonic_derivative(fields[ch], k)
+                    p = np.conj(p) * d1 + p * np.conj(d2)
+                per_channel[ch] = per_channel.get(ch, 0) + p
         for ch, g in per_channel.items():
             total_hat += self.bank.filter(ch) * np.fft.ifft2(g)
         return 2.0 * np.real(np.fft.fft2(total_hat))
@@ -494,6 +509,12 @@ def _cross_spectra(a, b, layer):
         np.conjugate(b[q], out=xi)
         xi *= a[p]
     return x
+
+
+def _minus_w(a, b):
+    """Four pairs of strided views: a(w) and b(-w) over the last two axes."""
+    parts = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    return [(a[..., o1, o2], b[..., r1, r2]) for o1, r1 in parts for o2, r2 in parts]
 
 
 def _require_real(x):
@@ -716,20 +737,29 @@ def sparsity_ratios(fields_list, bank):
     """E(|y|)^2 / E(|y|^2) per band channel over one or more real fields.
     Channel (j, ell + Q/2) is the conjugate of (j, ell), so only ell < Q/2 is
     computed and the partner gets the same ratio."""
-    h = bank.Q // 2
-    sums1 = {c: 0.0 for c in bank.channels() if c != LOWPASS and c[1] < h}
-    sums2 = {c: 0.0 for c in sums1}
-    count = 0
+    sums, count = 0.0, 0
     for x in fields_list:
         _require_real(x)
-        fields = channel_fields(x, bank, channels=list(sums1))
-        for c, y in fields.items():
-            a = np.abs(y)
-            sums1[c] += float(a.sum())
-            sums2[c] += float((a * a).sum())
+        sums += _abs_sums(channel_fields(x, bank, _lower_bands(bank)), bank)
         count += x.size
-    return {(j, ell): (sums1[(j, ell % h)] / count) ** 2 / (sums2[(j, ell % h)] / count)
-            for (j, ell) in bank.filters}
+    return _ratios(sums / count, bank)
+
+
+def _lower_bands(bank):
+    return [c for c in bank.channels() if c != LOWPASS and c[1] < bank.Q // 2]
+
+
+def _abs_sums(fields, bank):
+    """Sums of |y| and |y|^2 over each :func:`_lower_bands` channel field."""
+    return np.array([(a.sum(), (a * a).sum()) for a in (np.abs(fields[c]) for c in _lower_bands(bank))])
+
+
+def _ratios(means, bank):
+    """Sparsity ratios from the means of :func:`_abs_sums`; ell + Q/2 as ell."""
+    if not np.all(means[:, 1] > 0):
+        raise ConfigError("a band channel of the field has no energy: its sparsity ratio is undefined")
+    r = dict(zip(_lower_bands(bank), means[:, 0] ** 2 / means[:, 1]))
+    return {(j, ell): float(r[(j, ell % (bank.Q // 2))]) for (j, ell) in bank.filters}
 
 
 def gaussianity_report(fields, bank, threshold=0.05):
@@ -748,8 +778,6 @@ def gaussianity_report(fields, bank, threshold=0.05):
     :class:`EdgeComputer`, normalized by its two diagonals.
     """
     fields = [fields] if isinstance(fields, np.ndarray) else list(fields)
-    ratios = sparsity_ratios(fields, bank)
-    flags = {c: r < np.pi / 4 - threshold for c, r in ratios.items()}
     Q = bank.Q
     edges = []
     for j in range(2, bank.J + 1):
@@ -761,8 +789,11 @@ def gaussianity_report(fields, bank, threshold=0.05):
                 edges.append(Edge(ch, 2, ch2, -1, (0, 0)))
     comp = EdgeComputer(edges, ModelSpec(J=bank.J, Q=Q), bank)
     vals = [[] for _ in edges]
+    sums = 0.0
     for x in fields:
-        spectra = comp.harmonic_rows(x)[0]
+        spectra, _, ys = comp.harmonic_rows(x)
+        ys.update(channel_fields(x, bank, [c for c in _lower_bands(bank) if c not in ys]))
+        sums += _abs_sums(ys, bank)
         diag = comp.diagonals(spectra)
         for v, e, c in zip(vals, edges, comp.edge_values(spectra)):
             denom = np.sqrt(diag[(e.ch, e.k)] * diag[(e.ch2, e.k2)])
@@ -771,6 +802,8 @@ def gaussianity_report(fields, bank, threshold=0.05):
     cross = [((e.ch, e.k, e.ch2, e.k2), complex(np.mean(v)),
               (np.std(v) / np.sqrt(len(v))) if len(v) > 1 else None)
              for e, v in zip(edges, vals) if v]
+    ratios = _ratios(sums / sum(x.size for x in fields), bank)
+    flags = {c: r < np.pi / 4 - threshold for c, r in ratios.items()}
     return GaussianityReport(
         ratios=ratios, flags=flags, cross=cross, threshold=threshold, n_fields=len(fields)
     )

@@ -38,7 +38,7 @@ class SynthesisTarget:
 
 def build_target(xbar, spec, bank=None):
     """Estimate the reference table of ``xbar`` and freeze it into a target."""
-    xbar = np.asarray(xbar, dtype=float)
+    xbar = np.asarray(xbar)
     if bank is None:
         bank = build_bump_bank(xbar.shape[0], spec.J, spec.Q)
     edges = build_foveal_edges(spec)
@@ -63,7 +63,7 @@ def build_target(xbar, spec, bank=None):
 def objective(x, target):
     """Microcanonical loss of ``x`` against the frozen reference."""
     comp = target.computer
-    spectra, _, _ = comp.harmonic_rows(np.asarray(x, dtype=float), target.means)
+    spectra, _, _ = comp.harmonic_rows(x, target.means)
     vals = comp.edge_values(spectra)
     res = (vals - target.ref_values) / target.scales
     return float(np.sum(np.abs(res) ** 2))
@@ -77,7 +77,6 @@ def objective_gradient(x, target):
 
 def value_and_grad(x, target):
     comp = target.computer
-    x = np.asarray(x, dtype=float)
     spectra, _, fields = comp.harmonic_rows(x, target.means)
     vals = comp.edge_values(spectra)
     res = (vals - target.ref_values) / target.scales
@@ -154,7 +153,7 @@ def synthesize(xbar, spec, n_restarts=None, seed=None, target=None, max_iter=Non
     if seed is None:
         seed = spec.optimizer.seed
     if target is None:
-        target = build_target(np.asarray(xbar, dtype=float), spec)
+        target = build_target(xbar, spec)
     seeds = [restart_seed(seed, r) for r in range(n_restarts)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

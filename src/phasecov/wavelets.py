@@ -17,7 +17,11 @@ psi_hat_{j,ell}(w) = 2^j psi_hat(2^j r_ell w) and 2^J phi_hat(2^J w),
 periodized over the 3x3 nearest alias shifts w + 2*pi*(a,b) (equivalent to
 sampling the spatial wavelet on the integer grid); this periodization is what
 reproduces the reference frame constants A_W = 2.0, B_W = 4.6 at d = 128^2,
-J = 5, Q = 16.  The DC bin of every band filter is forced to exactly zero.
+J = 5, Q = 16.  A shift is evaluated only at the grid points it brings inside
+the support radius 2 xi0 / 2^j (from j = 2 on, only the unshifted term has
+any), for a group of angles per call; every skipped term is an exact zero.
+The DC bin of every band filter is forced to exactly zero.  Filter
+(j, ell + Q/2) is filter (j, ell) at -w, to rounding.
 
 Band (j, ell) coefficients are subsampled at stride 2^(j-1), the low-pass at
 stride 2^(J-1) (factor-2 oversampling of the dyadic grid).
@@ -114,23 +118,27 @@ def build_bump_bank(side, J, Q):
         raise ConfigError(f"need 1 <= J with 2^J <= side, got J={J}, side={side}")
     freq = 2 * pi * np.fft.fftfreq(side)
     wx, wy = np.meshgrid(freq, freq, indexing="ij")
+    ca, sa = (np.array([fn(2 * pi * ell / Q) for ell in range(Q)])[:, None] for fn in (np.cos, np.sin))
     filters = {}
     for j in range(1, J + 1):
         pow2 = 2.0 ** j
-        for ell in range(Q):
-            ang = 2 * pi * ell / Q
-            ca, sa = np.cos(ang), np.sin(ang)
-            f = np.zeros_like(wx)
-            for a in (-1, 0, 1):
-                for b in (-1, 0, 1):
-                    ux = wx + 2 * pi * a
-                    uy = wy + 2 * pi * b
-                    rx = ca * ux - sa * uy
-                    ry = sa * ux + ca * uy
-                    f += bump_profile(pow2 * rx, pow2 * ry, Q)
-            f *= pow2
-            f[0, 0] = 0.0  # exact zero mean
-            filters[(j, ell)] = f
+        f = np.zeros((Q,) + wx.shape)
+        for a in (-1, 0, 1):
+            for b in (-1, 0, 1):
+                ux = wx + 2 * pi * a
+                uy = wy + 2 * pi * b
+                # grid points inside the support radius, with a margin for rounding
+                near = pow2 * np.hypot(ux, uy) < 2 * XI0 * (1 + 1e-9)
+                if not near.any():
+                    continue
+                ux, uy = ux[near], uy[near]
+                step = 2 * near.size // near.sum()  # angles per call: about two planes of points
+                for e in range(0, Q, step):
+                    c, s = ca[e:e + step], sa[e:e + step]
+                    f[e:e + step, near] += bump_profile(pow2 * (c * ux - s * uy), pow2 * (s * ux + c * uy), Q)
+        f *= pow2
+        f[:, 0, 0] = 0.0  # exact zero mean
+        filters.update(((j, ell), f[ell]) for ell in range(Q))
     r2 = wx ** 2 + wy ** 2
     lowpass = (2.0 ** J) * np.exp(-(4.0 ** J) * r2 / (2 * SIGMA_PHI ** 2))
     return WaveletBank(side=side, J=J, Q=Q, filters=filters, lowpass=lowpass)

@@ -6,6 +6,7 @@ import pytest
 
 from phasecov.covariance import (
     EdgeComputer,
+    Rows,
     angular_fourier_reduce,
     channel_center,
     edge_orbit_terms,
@@ -271,16 +272,40 @@ def spatial_diagonals(comp, x, means):
     return out
 
 
+def full_rows(comp, x, means):
+    """The :class:`Rows` of :meth:`EdgeComputer.harmonic_rows` with every
+    slice computed directly: all Q channel fields, each slice's harmonic and
+    its fft2 / d centered on ``means``, then the angle FFT under rotations."""
+    fields = channel_fields(x, comp.bank)
+    rows = Rows(*(np.empty(shape + x.shape, dtype=complex) for shape in comp.shapes))
+    for rk, (b, r) in comp.slot.items():
+        for s, (ch, k) in enumerate(comp.keys[rk]):
+            rows[b][s, r] = np.fft.fft2(phase_harmonic(fields[ch], k), norm="forward")
+            rows[b][s, r, 0, 0] -= means[(ch, k)]
+    if comp.rotated:
+        rows = rows._replace(band=np.fft.fft(rows.band, axis=0, norm="forward"))
+    return rows
+
+
+def assert_rows_match_full_q(comp, x, spectra, means):
+    """Rows computed for ell < Q/2, the upper angles mirrored and k = 1 rows
+    filled in Fourier, against :func:`full_rows` to 1e-12 relative."""
+    for got, want in zip(spectra, full_rows(comp, x, means)):
+        if want.size:
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 def assert_diagonals_match(diag, ref):
     for vk, val in diag.items():
         assert val == pytest.approx(ref[vk], rel=1e-12), vk
 
 
 def assert_matches_spatial_reference(comp, x, seed):
-    """Edge values, diagonals and the gradient for random cotangents against
-    :func:`spatial_reference` and :func:`spatial_diagonals`, all to 1e-12
-    relative."""
+    """Rows against :func:`full_rows`, and edge values, diagonals and the
+    gradient for random cotangents against :func:`spatial_reference` and
+    :func:`spatial_diagonals`, all to 1e-12 relative."""
     spectra, means, fields = comp.harmonic_rows(x)
+    assert_rows_match_full_q(comp, x, spectra, means)
     cot = np.random.default_rng(seed).standard_normal((len(comp.edges), 2)) @ [1, 1j]
     ref_vals, ref_grad = spatial_reference(comp, x, means, cot)
     vals = comp.edge_values(spectra)
@@ -291,6 +316,7 @@ def assert_matches_spatial_reference(comp, x, seed):
 
 
 ENGINE_SPECS = {
+    "B": dict(),
     "C": dict(),
     "C-reflections-sign": dict(group=SymmetryGroup(line_reflection=True, central_reflection=True,
                                                    sign_change=True)),
@@ -322,6 +348,7 @@ class TestSpectralEngine:
             assert kinds == {"fix"}
         x = white_noise(32, np.sqrt(target.sigma2), 41)
         spectra = comp.harmonic_rows(x, target.means)[0]
+        assert_rows_match_full_q(comp, x, spectra, target.means)
         vals = comp.edge_values(spectra)
         ref_vals, _ = spatial_reference(comp, x, target.means, np.zeros(len(comp.edges)))
         assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
@@ -343,6 +370,21 @@ class TestSpectralEngine:
         assert {key[0] for key in comp.pair_groups} == {"fix", "angular"}
         assert comp.pair_groups[("fix", (LOWPASS, 0), (2, 2))].shape == (1, 1, 1)
         assert_matches_spatial_reference(comp, white_noise(16, 1.0, 44), 45)
+
+    @pytest.mark.parametrize("rotations", [False, True])
+    def test_k_minus_one_rows(self, rotations):
+        # k = -1 rows are harmonic rows (conj y), computed for ell < Q/2 and
+        # mirrored like k = 2 ones; k = 1 rows, the low-pass one too, are
+        # filled in Fourier.  No edge here has its conjugate partner.
+        spec = model_preset("D" if rotations else "B", J=2, Q=4)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        edges = [Edge((2, 0), 2, (1, 2), -1, (0, 0)), Edge((2, 3), 1, (2, 1), -1, (0, 0)),
+                 Edge(LOWPASS, 1, (1, 1), -1, (0, 0)), Edge(LOWPASS, -1, LOWPASS, 1, (0, 0))]
+        edges += [] if rotations else [Edge((1, 1), -1, (1, 3), 1, (1, -2)),
+                                       Edge(LOWPASS, 1, (1, 0), -1, (2, 0))]
+        comp = EdgeComputer(edges, spec, bank)
+        assert comp.harmonic == (3, 1)  # rows (2, 2), (1, -1), (2, -1); (low, -1)
+        assert_matches_spatial_reference(comp, white_noise(16, 1.0, 55), 56)
 
     def test_lagged_low_pass_edge_under_rotations_rejected(self):
         # rotations relabel angles and leave lags unturned: every edge, the
@@ -442,20 +484,42 @@ class TestSpectralEngine:
             assert kinds == {"fix"}
         assert_matches_spatial_reference(comp, white_noise(16, 1.0, 52), 53)
 
+    @staticmethod
+    def fft_sizes(target, monkeypatch):
+        """Size of the array passed to each numpy.fft call of one
+        value_and_grad, in planes of N^2."""
+        sizes = []
+        for fn in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "hfft"):
+            orig = getattr(np.fft, fn)
+            monkeypatch.setattr(np.fft, fn, lambda a, *args, _f=orig, **kw:
+                                sizes.append(np.size(a) / 32 ** 2) or _f(a, *args, **kw))
+        value_and_grad(white_noise(32, 1.0, 42), target)
+        return sizes
+
     @pytest.mark.parametrize("name", ["C", "D"])
     def test_fft_calls_per_gradient(self, name, monkeypatch):
         target = engine_target(name)
         comp = target.computer
-        calls = []
-        for fn in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
-            orig = getattr(np.fft, fn)
-            monkeypatch.setattr(np.fft, fn, lambda *a, _f=orig, **kw: calls.append(1) or _f(*a, **kw))
-        value_and_grad(white_noise(32, 1.0, 42), target)
-        # 1 + C for the channel fields, one forward and one inverse transform
-        # per row buffer, 3 along the angle under rotations (the band buffer,
-        # the angular table and its cotangents), J Q/2 + 1 chain transforms
-        # (angle ell + Q/2 is folded onto ell) and 1 final
-        assert len(calls) <= len(comp.bank.channels()) + comp.bank.J * comp.Q // 2 + 10
+        calls = len(self.fft_sizes(target, monkeypatch))
+        # J Q/2 + 1 channel fields (angle ell + Q/2 is never computed) and at
+        # most as many chain transforms; x_hat twice (for the fields and for
+        # the k = 1 rows); one forward and one inverse transform per row
+        # buffer; 1 final; under rotations 4 along the angle (the band buffer
+        # both ways, the angular table and its cotangents)
+        assert calls <= 2 * (comp.bank.J * comp.Q // 2 + 1) + 7 + 4 * comp.rotated
+
+    @pytest.mark.parametrize("name", ["C", "D"])
+    def test_fft_planes_per_gradient(self, name, monkeypatch):
+        target = engine_target(name)
+        comp = target.computer
+        planes = sum(self.fft_sizes(target, monkeypatch))
+        (Q, R), (_, L) = comp.shapes
+        # each row buffer is transformed both ways for ell < Q/2 only, a
+        # channel field and its chain term for ell < Q/2 only, plus x_hat
+        # twice, the final transform and the angular tables; under rotations
+        # the band buffer is transformed along the angle whole, both ways
+        channels = comp.bank.J * Q // 2 + 1
+        assert planes <= 2 * (Q // 2 * R + L) + 2 * channels + 4 + 2 * Q * R * comp.rotated
 
     def test_diagonals_match_spatial_power(self):
         target = engine_target("C-reflections-sign")
@@ -803,6 +867,30 @@ class TestGaussianity:
                               / np.sqrt(np.mean(np.abs(h1) ** 2) * np.mean(np.abs(h2) ** 2)))
             assert abs(val - np.mean(direct)) < 1e-12
             assert se == pytest.approx(np.std(direct) / np.sqrt(len(direct)), abs=1e-12)
+
+    @pytest.mark.parametrize("J", [1, 3])
+    def test_report_ratios_match_every_channel(self, J):
+        # the report takes its sparsity sums from the channel fields of its
+        # pairs' rows, and of the scales no pair reads (J = 1 has no pairs);
+        # every channel, the upper angles too, matches the direct ratio
+        bank = build_bump_bank(32, J, 8)
+        rng = np.random.default_rng(20)
+        fields = [rng.standard_normal((32, 32)) * np.exp(rng.standard_normal((32, 32)))
+                  for _ in range(2)]
+        report = gaussianity_report(fields, bank)
+        assert bool(report.cross) == (J > 1)
+        ys = [channel_fields(x, bank) for x in fields]
+        for c in bank.filters:
+            a = np.concatenate([np.abs(y[c]).ravel() for y in ys])
+            assert report.ratios[c] == pytest.approx(np.mean(a) ** 2 / np.mean(a * a), rel=1e-12), c
+        assert report.ratios == pytest.approx(sparsity_ratios(fields, bank), rel=1e-12)
+
+    def test_field_without_band_energy_rejected(self):
+        # a constant field has no band energy, so no sparsity ratio is defined
+        bank = build_bump_bank(16, 2, 4)
+        for report in (sparsity_ratios, gaussianity_report):
+            with pytest.raises(ConfigError, match="no energy"):
+                report([np.full((16, 16), 2.0)], bank)
 
     def test_spectral_overlap_sparsity(self):
         # |K| decays below 1% of the diagonal scale for pairs violating the

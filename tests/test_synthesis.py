@@ -263,3 +263,32 @@ class TestTrajectoryEquivariance:
         assert len(t_base) == len(t_flip) > 1
         for xa, xb in zip(t_base, t_flip):
             assert np.array_equal(negate(xa), xb)
+
+
+class TestComplexFieldRejected:
+    """Angle ell + Q/2 is read as the conjugate of angle ell, which holds for
+    real fields only: every entry point refuses a complex field instead of
+    dropping its imaginary part."""
+
+    side = 16
+
+    def complex_field(self, seed):
+        return white_noise(self.side, 1.0, seed) + 1j * white_noise(self.side, 1.0, seed + 1)
+
+    def test_build_target(self):
+        with pytest.raises(ConfigError, match="must be real"):
+            build_target(self.complex_field(60), small_b_spec())
+
+    def test_objective(self):
+        target = build_target(gaussian_reference(self.side, 62), small_b_spec())
+        with pytest.raises(ConfigError, match="must be real"):
+            objective(self.complex_field(63), target)
+
+    def test_value_and_grad(self):
+        target = build_target(gaussian_reference(self.side, 65), small_b_spec())
+        with pytest.raises(ConfigError, match="must be real"):
+            value_and_grad(self.complex_field(66), target)
+
+    def test_synthesize(self):
+        with pytest.raises(ConfigError, match="must be real"):
+            synthesize(self.complex_field(68), small_b_spec(), n_restarts=1)

@@ -1,6 +1,9 @@
+from math import pi
+
 import numpy as np
 import pytest
 
+from phasecov import wavelets
 from phasecov.errors import ConfigError
 from phasecov.grid import white_noise
 from phasecov.wavelets import (
@@ -34,6 +37,26 @@ def direct_convolution(x, psi):
                     acc += x[w1, w2] * psi[(u1 - w1) % n, (u2 - w2) % n]
             out[u1, u2] = acc
     return out
+
+
+def unpruned_filter(side, j, ell, Q):
+    """Band filter (j, ell) summed over all 3x3 alias shifts, none skipped."""
+    freq = 2 * pi * np.fft.fftfreq(side)
+    wx, wy = np.meshgrid(freq, freq, indexing="ij")
+    pow2 = 2.0 ** j
+    ang = 2 * pi * ell / Q
+    ca, sa = np.cos(ang), np.sin(ang)
+    f = np.zeros_like(wx)
+    for a in (-1, 0, 1):
+        for b in (-1, 0, 1):
+            ux = wx + 2 * pi * a
+            uy = wy + 2 * pi * b
+            rx = ca * ux - sa * uy
+            ry = sa * ux + ca * uy
+            f += bump_profile(pow2 * rx, pow2 * ry, Q)
+    f *= pow2
+    f[0, 0] = 0.0
+    return f
 
 
 class TestBankConstruction:
@@ -87,6 +110,33 @@ class TestBankConstruction:
         psi = spatial_filters(bank)[(2, 3)]
         reversed_psi = np.roll(psi[::-1, ::-1], (1, 1), axis=(0, 1))
         assert np.max(np.abs(reversed_psi - np.conj(psi))) < 1e-14
+
+    @pytest.mark.parametrize("side, J, Q", [(16, 2, 4), (64, 4, 8), (64, 5, 16), (128, 5, 16)])
+    def test_alias_pruning_is_exact(self, side, J, Q):
+        # the bank evaluates each alias shift only at the grid points it
+        # brings inside the support radius; everywhere else the profile is
+        # an exact zero, so every filter equals the full 3x3 sum bit for bit
+        bank = build_bump_bank(side, J, Q)
+        for (j, ell), f in bank.filters.items():
+            assert np.array_equal(f, unpruned_filter(side, j, ell, Q)), (j, ell)
+
+    @pytest.mark.parametrize("side, J, Q", [(16, 2, 4), (64, 5, 16)])
+    def test_bump_evaluations_per_build(self, side, J, Q, monkeypatch):
+        # only the alias shifts that reach the support are evaluated: 9 at
+        # j = 1, only (0, 0) from j = 2 on (every other shift is at least pi
+        # away), each on a group of angles at a time, with at most two planes
+        # of points per call.  The points are the grid points inside each
+        # scale's support disk, of radius 2 xi0 / 2^j: over all scales about
+        # (4/3) pi (2 xi0)^2 / (2 pi)^2 = 3.03 planes per angle, where the
+        # full 3x3 sum evaluated 9 J
+        sizes = []
+        orig = wavelets.bump_profile
+        monkeypatch.setattr(wavelets, "bump_profile",
+                            lambda wx, wy, q: sizes.append(np.size(wx)) or orig(wx, wy, q))
+        build_bump_bank(side, J, Q)
+        assert len(sizes) <= (J + 8) * Q // 2
+        assert max(sizes) <= 2 * side * side
+        assert sum(sizes) <= 3.2 * Q * side * side
 
     def test_coefficient_count(self):
         # about 4 Q d / 3 when J = (log2 d) / 2
