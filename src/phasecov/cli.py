@@ -39,11 +39,21 @@ def _outdir(args):
     return out
 
 
+def _real(x, path, what, error):
+    """``x`` as a real array: a complex one whose imaginary part is not
+    exactly zero raises ``error``."""
+    if not np.iscomplexobj(x):
+        return x
+    if np.any(x.imag != 0):
+        raise error(f"{path}: the {what} must be real, but its imaginary part is not zero")
+    return np.ascontiguousarray(x.real)
+
+
 def _read_real_field(path):
     x = pio.read_field(path)
     if x.ndim != 2:
         raise FormatError(f"{path}: expected a 2D field")
-    return np.real(x) if np.iscomplexobj(x) else x
+    return _real(x, path, "field", ConfigError)
 
 
 def cmd_cov(args):
@@ -123,10 +133,12 @@ def cmd_synth(args):
     result = synthesize(xbar, spec, workers=args.threads)
     _write_samples(out, result.samples)
     rows = [
-        (i, result.iterations[i], float(result.losses[i]))
+        (i, result.iterations[i], float(result.losses[i]), result.stop_reasons[i],
+         result.armijo_fallbacks[i])
         for i in range(len(result.samples))
     ]
-    pio.write_csv(out / "losses.csv", ["restart", "iterations", "loss"], rows)
+    pio.write_csv(out / "losses.csv",
+                  ["restart", "iterations", "loss", "stop_reason", "armijo_fallbacks"], rows)
     curves = []
     for i, curve in enumerate(result.loss_curves):
         curves.extend((i, t, float(v)) for t, v in enumerate(curve))
@@ -157,8 +169,7 @@ def cmd_gauss_sample(args):
     spectrum = pio.read_field(args.spectrum)
     if spectrum.ndim != 2 or spectrum.shape[0] != spectrum.shape[1]:
         raise FormatError(f"{args.spectrum}: expected a square 2D spectrum, got {spectrum.shape}")
-    if np.iscomplexobj(spectrum):
-        spectrum = np.real(spectrum)
+    spectrum = _real(spectrum, args.spectrum, "spectrum", FormatError)
     if np.min(spectrum) < 0:
         raise NumericalError("spectrum file has negative entries")
     state = GaussianDualState(

@@ -29,7 +29,9 @@ conj([z]^k), every harmonic slice of angle ell + Q/2 is the conjugate of
 that of ell, with spectrum conj(S_ell(-w)); the low-pass slice is real.
 So only angles ell < Q/2 are computed, and the correlation of slices
 (ell + Q/2, ell' + Q/2) at any lag is the conjugate of that of (ell, ell'):
-:class:`EdgeComputer` computes only one of each such pair.
+:class:`EdgeComputer` computes only one of each such pair.  Under rotations
+the angular components S_m of a band row obey S_m(-w) = (-1)^m
+conj(S_{-m}(w)), so only the half-plane w1 <= N/2 of them is stored.
 
 Further group flags act by channel relabeling (never by image resampling):
 rotations shift the angular index of both vertices (valid for edges at a
@@ -157,7 +159,9 @@ class Rows(NamedTuple):
     rows and ``low`` (1, L, N, N) the low-pass rows, slice by row, at the
     positions :attr:`EdgeComputer.slot` gives.  A slice is fft2(h - mean) / d;
     under rotations the band buffer is also Fourier transformed along the
-    angle (scaled by 1/Q), so ``band[m, r]`` is angular component m of row r."""
+    angle (scaled by 1/Q), so ``band[m, r]`` is angular component m of row r,
+    and holds the half-plane w1 <= N/2 only, (Q, R, N/2 + 1, N): for a real
+    field S_m(-w) = (-1)^m conj(S_{-m}(w)) gives the rest."""
 
     band: np.ndarray
     low: np.ndarray
@@ -167,23 +171,25 @@ class EdgeComputer:
     """Precomputed machinery to evaluate a fixed edge set on varying fields.
 
     Every harmonic row of a field lives in one of two buffers (:class:`Rows`),
-    the band rows in (Q, R, N, N) and the low-pass rows in (1, L, N, N), with
-    or without rotations, filled for ell < Q/2, mirrored to ell + Q/2 and
-    centered once per field (:meth:`harmonic_rows`).  The rotation flag
-    decides only the FFT axes (under rotations the band buffer is also
-    transformed along the angle), which slices of a band row lag windows
-    read (its Q slices, or under rotations its m = 0 component, the mean of
-    its slices over the angles), and how the orbit terms of all edges are
-    sorted by the row pair they correlate:
+    the band rows in (Q, R, N, N) and the low-pass rows in (1, L, N, N),
+    filled for ell < Q/2, mirrored to ell + Q/2 and centered once per field
+    (:meth:`harmonic_rows`).  The rotation flag decides the band buffer's
+    layout (under rotations it is also transformed along the angle and
+    holds the half-plane w1 <= N/2 only, (Q, R, N/2 + 1, N)), which slices
+    of a band row lag windows read (its Q slices, or under rotations its
+    m = 0 component, the mean of its slices over the angles, put on the
+    whole plane), and how the orbit terms of all edges are sorted by the row
+    pair they correlate:
 
     * under rotations, a band x band term averages the Gram matrix
       G = A B^H of its rows along one circulant diagonal, sb - sa (mod Q).
       These are diagonal in the angular Fourier index m: with S the band
       buffer's angular-and-spatial spectra, the Q Gram matrices
-      C[m] = S_m S_m^H (R x R each), Fourier transformed along m, hold every
-      diagonal sum of every band row pair (C[-m] = conj(C[m]) for a real
-      field, so m <= Q/2 is formed).  All such terms form one "angular"
-      group, keyed ("angular",), that reads the (Q, R, R) table;
+      C[m] = sum_w S_m S_m^H (R x R each), Fourier transformed along m, hold
+      every diagonal sum of every band row pair; the half-plane gives them
+      as its own Gram matrices plus conj(those of -m) over the rows
+      0 < w1 < N/2 (:meth:`angular_table`).  All such terms form one
+      "angular" group, keyed ("angular",), that reads the (Q, R, R) table;
     * every other row pair forms a "fix" group, keyed ("fix", row_a, row_b):
       low-pass rows, all row pairs without rotations, and a low-pass x band
       rotation average, which reads the band row's m = 0 component.  A fix
@@ -211,12 +217,13 @@ class EdgeComputer:
     conjugated where the read is, onto that map.  A fix layer's grids become
     spectra G = E1 grid E2^T and add B conj(G) and A G to Fourier
     accumulators of the rows.  The angular table's cotangents, Fourier
-    transformed along the diagonal offset to Gamma_m, turn each S_m into
-    (conj(Gamma_m) + Gamma_m^T) S_m in place (without an angular group the
-    band buffer is zeroed) and the accumulators are added in.  Each upper
-    band slice's spectrum is folded onto its partner's, as y_{ell+Q/2} =
-    conj(y_ell), so the inverse FFTs and the chain through the harmonics
-    and the filters run for ell < Q/2 only.
+    transformed along the diagonal offset to Gamma_m, turn each S_m of the
+    half-plane into (conj(Gamma_m) + Gamma_m^T) S_m plus the same product
+    at -m, mirrored (without an angular group the band buffer is zeroed),
+    and the accumulators are added in.  Each upper band slice's spectrum is
+    folded onto its partner's, as y_{ell+Q/2} = conj(y_ell), so the inverse
+    FFTs and the chain through the harmonics and the filters run for
+    ell < Q/2 only.
     """
 
     def __init__(self, edges, spec, bank):
@@ -252,6 +259,12 @@ class EdgeComputer:
             ch for rk in self.rows if rk[1] != 1 for (ch, _) in self.keys[rk][:self.Q // 2]))
         self.shapes = ((self.Q, len(band)), (1, len(low)))
         self.rotated = self.group.rotations and self.Q > 1
+        n = bank.side
+        # each buffer's plane: the band buffer's under rotations is the half w1 <= N/2
+        self.planes = ((n // 2 + 1 if self.rotated else n, n), (n, n))
+        # weight of each half-plane row: rows 0 < w1 < N/2 stand for -w too
+        self.rim = np.full((n // 2 + 1, 1), 2.0)
+        self.rim[[0, -1]] = 1.0
         # FFT axes of each buffer, and the slices of a row that lag windows read
         self.axes = ((0, 2, 3) if self.rotated else (2, 3), (2, 3))
         self.view = slice(0, 1) if self.rotated else slice(None)
@@ -306,9 +319,12 @@ class EdgeComputer:
         return terms
 
     def slices(self, spectra, rk):
-        """The slices of row ``rk`` that lag windows read, a view of its buffer."""
+        """The slices of row ``rk`` that lag windows read: a view of its
+        buffer, or under rotations a band row's m = 0 component put on the
+        whole plane (S_0(-w) = conj(S_0(w)))."""
         b, r = self.slot[rk]
-        return spectra[b][self.view, r]
+        s = spectra[b][self.view, r]
+        return _whole_planes(s, s) if b == 0 and self.rotated else s
 
     # ----- field-dependent quantities -------------------------------------
 
@@ -322,21 +338,38 @@ class EdgeComputer:
         ell + Q/2 is written as conj(S_ell(-w)).  The raw slice means are
         then the DC bins.  With ``means`` None they are averaged over the
         channel orbit (:meth:`averaged_means`); the means are subtracted at
-        the DC bins.  Under rotations the band buffer is last transformed
-        along the angle.  A complex ``x`` is rejected: the mirror needs a real one.
+        the DC bins.  Under rotations the band buffer keeps the half-plane
+        w1 <= N/2: its rows with k != 1 are filled and transformed as whole
+        planes in a block of their own, whose half-plane and mirror are
+        copied in; k = 1 rows are filled there for every angle as
+        psi_hat x_hat / d; the buffer is last transformed along the angle.
+        A complex ``x`` is rejected: the mirror needs a real one.
         """
         _require_real(x)
-        h = self.Q // 2
+        h, (hp, n) = self.Q // 2, self.planes[0]
         fields = channel_fields(x, self.bank, self.channels)
         xhat = np.fft.fft2(x, norm="forward")
-        rows = Rows(*(np.empty(s + np.shape(x), dtype=complex) for s in self.shapes))
+        rows = Rows(*(np.empty(s + p, dtype=complex) for s, p in zip(self.shapes, self.planes)))
+        # whole planes of the slices ell < Q/2: the buffers themselves, or
+        # under rotations a block of the band rows with k != 1
+        whole = rows
+        if self.rotated:
+            whole = rows._replace(band=np.empty((h, self.harmonic[0], n, n), dtype=complex))
         for rk, (b, r) in self.slot.items():
+            if b == 0 and self.rotated and rk[1] == 1:
+                for out, (ch, _) in zip(rows.band[:, r], self.keys[rk]):
+                    np.multiply(self.bank.filter(ch)[:hp], xhat[:hp], out=out)
+                continue
             for s, (ch, k) in enumerate(self.keys[rk][:h]):
-                rows[b][s, r] = self.bank.filter(ch) * xhat if k == 1 else phase_harmonic(fields[ch], k)
-        for buf, m in zip(rows, self.harmonic):
+                whole[b][s, r] = self.bank.filter(ch) * xhat if k == 1 else phase_harmonic(fields[ch], k)
+        for buf, m in zip(whole, self.harmonic):
             np.fft.fft2(buf[:h, :m], norm="forward", out=buf[:h, :m])
-        for upper, lower in _minus_w(rows.band[h:], rows.band[:h]):
-            np.conjugate(lower, out=upper)
+        lower, r = whole.band[:h], whole.band.shape[1]
+        if self.rotated:
+            rows.band[:h, :r] = lower[..., :hp, :]
+        for upper, mirrored in _minus_w(rows.band[h:, :r], lower):
+            np.conjugate(mirrored, out=upper)
+        del whole, lower
         if means is None:
             means = self.averaged_means({
                 vk: complex(m) for rk, (b, r) in self.slot.items()
@@ -363,13 +396,19 @@ class EdgeComputer:
         """(Q, R, R) table, for each diagonal offset delta and band row pair,
         of (1/Q) sum_ell G[ell, ell + delta] with G the Gram matrix of the two
         rows' slice spectra: the FFT along m of the Gram matrices
-        C[m] = S_m S_m^H of the angular-and-spatial spectra ``s``, formed for
-        m <= Q/2: S_{-m}(w) = (-1)^m conj(S_m(-w)), so C[-m] = conj(C[m])."""
-        q, r = s.shape[:2]
-        c = np.empty((q // 2 + 1, r, r), dtype=complex)
-        for m in range(len(c)):
-            sm = s[m].reshape(r, -1)
-            np.matmul(sm, np.conj(sm).T, out=c[m])
+        C[m] = sum_w S_m(w) S_m(w)^H of the angular-and-spatial spectra.
+        ``s`` holds them on the half-plane w1 <= N/2 only, and
+        S_m(-w) = (-1)^m conj(S_{-m}(w)) gives the rest: with I[m] the Gram
+        matrix over the rows 0 < w1 < N/2, those at -w add conj(I[-m]).  As
+        C[-m] = conj(C[m]), C is formed for m <= Q/2."""
+        q, r, n = len(s), s.shape[1], s.shape[-1]
+        inner = s[:, :, 1:n // 2].reshape(q, r, -1)
+        gram = np.empty((q, r, r), dtype=complex)
+        for sm, g in zip(inner, gram):
+            np.matmul(sm, np.conj(sm).T, out=g)
+        c = gram[:q // 2 + 1] + np.conj(gram[-np.arange(q // 2 + 1)])
+        for sm, cm in zip(s[:q // 2 + 1, :, ::n // 2].reshape(q // 2 + 1, r, -1), c):
+            cm += sm @ np.conj(sm).T  # the rows w1 = 0 and N/2, their own mirror
         return np.fft.hfft(c, n=q, axis=0)
 
     def edge_values(self, spectra):
@@ -390,11 +429,15 @@ class EdgeComputer:
         """Own-diagonal K(v, v) per vertex class (group averaged).  Slice
         powers are read by Parseval over each buffer's FFT axes: under
         rotations a band row's powers summed over m are its rotation average,
-        which is all the orbit average of a band channel sees."""
+        which is all the orbit average of a band channel sees, and the
+        half-plane's rows 0 < w1 < N/2 count twice."""
         power = {}
         for rk, (b, r) in self.slot.items():
             # one power per slice, or one summed over m for all the row's slices
-            p = np.sum(np.abs(spectra[b][:, r:r + 1]) ** 2, axis=self.axes[b]).ravel()
+            p = np.abs(spectra[b][:, r:r + 1]) ** 2
+            if b == 0 and self.rotated:
+                p *= self.rim
+            p = np.sum(p, axis=self.axes[b]).ravel()
             power.update(zip(self.keys[rk], np.broadcast_to(p, len(self.keys[rk])).tolist()))
         return {(ch, k): sum(w * power[(c, k)] for (w, c) in self._orbit(ch))
                 for (ch, k) in self.classes}
@@ -410,21 +453,31 @@ class EdgeComputer:
         P_b(w) = (1/d) sum_du conj(g(du)) conj(a(w-du)),
         accumulated as B conj(G) and A G, G = E1 g E2^T.  The angular table's
         cotangents Gamma, Fourier transformed along the diagonal offset, turn
-        S_m into (conj(Gamma_m) + Gamma_m^T) S_m; without an angular group the
-        band buffer is zeroed.  The accumulators, one block per buffer, are
-        then added into the band buffer and copied into the low-pass one
-        (``spectra`` is used up; under rotations the band buffer is then
-        inverse transformed along the angle).  Band slice ell + Q/2 is
-        conj(slice ell), so P_ell += conj(P_{ell+Q/2}(-w)) in place, and only
-        slices ell < Q/2 of rows with k != 1 are inverse transformed and
-        chained through the harmonic (conj(pe) at k = -1) and the filter.  A
-        k = 1 slice's chain term pe = conj(ifft2(P)) has spectrum conj(P) / d.
+        S_m into P_m = M_m S_m, M_m = conj(Gamma_m) + Gamma_m^T; without an
+        angular group the band buffer is zeroed.  The accumulators, one block
+        per buffer, are then added into the band buffer and copied into the
+        low-pass one (``spectra`` is used up).  Band slice ell + Q/2 is
+        conj(slice ell), so P_ell += conj(P_{ell+Q/2}(-w)), and only slices
+        ell < Q/2 of rows with k != 1 are inverse transformed and chained
+        through the harmonic (conj(pe) at k = -1) and the filter.  A k = 1
+        slice's chain term pe = conj(ifft2(P)) has spectrum conj(P) / d.
+
+        Under rotations the fold comes before the inverse angle transform,
+        on the half-plane: there P_m(w) + (-1)^m conj(P_{-m}(-w)) is
+        (M_m + conj(M_{-m})) S_m, as
+        S_m(-w) = (-1)^m conj(S_{-m}(w)), and the m = 0 accumulators add
+        acc(w) + conj(acc(-w)).  The result has the symmetry of S, so after
+        the inverse angle transform the folded slice ell < Q/2 is slice ell
+        on w1 <= N/2 and conj(slice ell + Q/2 at -w) beyond, put on whole
+        planes for the rows with k != 1.  A k = 1 row is chained on the
+        half-plane, every angle weighted by rim / 2: the real part of the
+        final fft2 reads a term at w as its conjugate at -w.
         """
         n, h = self.bank.side, self.Q // 2
         s = spectra.band
         # Fourier accumulators of the slices that lag windows read, in one
         # block per buffer
-        acc = Rows(np.zeros(s[self.view].shape, dtype=complex),
+        acc = Rows(np.zeros(s[self.view].shape[:2] + (n, n), dtype=complex),
                    np.zeros(spectra.low.shape, dtype=complex))
         cot = cot * self.sign_factor
         gamma = None
@@ -436,7 +489,7 @@ class EdgeComputer:
                 gamma = np.fft.fft(grid, axis=0)
                 continue
             a, b = self.slices(spectra, key[1]), self.slices(spectra, key[2])
-            acc_a, acc_b = self.slices(acc, key[1]), self.slices(acc, key[2])
+            acc_a, acc_b = (acc[i][:, r] for i, r in map(self.slot.get, key[1:]))
             win, start = g.window, 0
             for layer in g.layers:
                 ghat = win.spectra(grid[start:start + len(layer)])
@@ -449,30 +502,51 @@ class EdgeComputer:
         if gamma is None:
             s[...] = 0
         else:
+            # (conj(Gamma_m) + Gamma_m^T) S_m, plus the same at -m, mirrored
+            k = np.conj(gamma) + gamma[-np.arange(len(gamma))]
+            weights = k + np.conj(k).transpose(0, 2, 1)
             r = s.shape[1]
             prod = np.empty((r, s[0].size // r), dtype=complex)
             for m in range(len(s)):
                 sm = s[m].reshape(r, -1)
-                np.matmul(np.conj(gamma[m]) + gamma[m].T, sm, out=prod)
+                np.matmul(weights[m], sm, out=prod)
                 sm[...] = prod
-        s[self.view] += acc.band
+        if self.rotated:  # the m = 0 accumulators and their mirror
+            top = s[:1]
+            top += acc.band[..., :len(self.rim), :]
+            for t, mirrored in _minus_w(top, np.conjugate(acc.band, out=acc.band)):
+                t += mirrored
+        else:
+            s[self.view] += acc.band
         spectra.low[...] = acc.low
         del acc  # freed before the chain allocates its planes
         if self.rotated:
             np.fft.ifft(s, axis=0, out=s)
-        upper = s[h:]
-        np.conjugate(upper, out=upper)
-        for lower, mirrored in _minus_w(s[:h], upper):
-            lower += mirrored
-        for buf, m in zip(spectra, self.harmonic):
+            m = self.harmonic[0]
+            planes = spectra._replace(band=_whole_planes(s[:h, :m], s[h:, :m]))
+        else:
+            upper = s[h:]
+            np.conjugate(upper, out=upper)
+            for lower, mirrored in _minus_w(s[:h], upper):
+                lower += mirrored
+            planes = spectra
+        for buf, m in zip(planes, self.harmonic):
             # ifftn, not ifft2: numpy 2.4's ifft2 ignores ``out``
             np.fft.ifftn(buf[:h, :m], axes=(2, 3), out=buf[:h, :m])
         # chain through the phase harmonic and back through the filters
         per_channel = {}
         total_hat = np.zeros((n, n), dtype=complex)
         for rk, (b, r) in self.slot.items():
+            if b == 0 and self.rotated and rk[1] == 1:
+                # every angle on the half-plane, whose rows 0 < w1 < N/2
+                # stand for -w too: the k = 1 term below, weighted by rim / 2
+                linear = np.zeros(s.shape[2:], dtype=complex)
+                for (ch, _), p in zip(self.keys[rk], s[:, r]):
+                    linear += self.bank.filter(ch)[:len(p)] * p
+                total_hat[:len(linear)] += np.conj(linear) * self.rim / (2 * self.bank.d)
+                continue
             # the low-pass row's one slice, or ell < Q/2; pe = conj(p)
-            for (ch, k), p in zip(self.keys[rk][:h], spectra[b][:h, r]):
+            for (ch, k), p in zip(self.keys[rk][:h], planes[b][:h, r]):
                 if k == 1:  # p is still P, and pe has the spectrum conj(P) / d
                     total_hat += self.bank.filter(ch) * np.conj(p) / self.bank.d
                     continue
@@ -511,10 +585,27 @@ def _cross_spectra(a, b, layer):
     return x
 
 
-def _minus_w(a, b):
-    """Four pairs of strided views: a(w) and b(-w) over the last two axes."""
-    parts = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
-    return [(a[..., o1, o2], b[..., r1, r2]) for o1, r1 in parts for o2, r2 in parts]
+def _minus_w(a, b, w0=0):
+    """Pairs of strided views a(w) and b(-w) over the last two axes, of
+    period n = the last axis: the rows of ``a`` hold w1 = w0, w0 + 1, ...,
+    those of ``b`` w1 = 0, 1, ..."""
+    n, first = a.shape[-1], max(w0, 1)
+    # rows w1 >= 1 read n - w1, counting down; row 0 reads itself
+    rows = [(slice(first - w0, None), slice(n - first, n - w0 - a.shape[-2], -1))]
+    rows += [(slice(0, 1), slice(0, 1))] * (w0 == 0)
+    cols = ((slice(0, 1), slice(0, 1)), (slice(1, None), slice(None, 0, -1)))
+    return [(a[..., o1, o2], b[..., r1, r2]) for o1, r1 in rows for o2, r2 in cols]
+
+
+def _whole_planes(lower, upper):
+    """Whole (..., n, n) planes from half-planes w1 <= n/2: ``lower`` there,
+    conj(upper(-w)) on the rows w1 > n/2."""
+    hp, n = lower.shape[-2:]
+    out = np.empty(lower.shape[:-2] + (n, n), dtype=complex)
+    out[..., :hp, :] = lower
+    for o, u in _minus_w(out[..., hp:, :], upper, hp):
+        np.conjugate(u, out=o)
+    return out
 
 
 def _require_real(x):

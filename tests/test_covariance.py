@@ -7,6 +7,7 @@ import pytest
 from phasecov.covariance import (
     EdgeComputer,
     Rows,
+    slice_of,
     angular_fourier_reduce,
     channel_center,
     edge_orbit_terms,
@@ -287,10 +288,74 @@ def full_rows(comp, x, means):
     return rows
 
 
+def full_q_reference(comp, x, means, cot):
+    """Edge values, diagonals and the gradient of sum_e 2 Re[cot_e K_e] of a
+    rotated computer from :func:`full_rows`: every angle on the whole plane,
+    the Gram matrices S_m S_m^H of every m and the products
+    (conj(Gamma_m) + Gamma_m^T) S_m, then the chain through every slice's own
+    channel field and filter."""
+    assert comp.rotated
+    bank, Q = comp.bank, comp.Q
+    rows = full_rows(comp, x, means)
+    cot = cot * comp.sign_factor
+    vals = np.zeros(len(comp.edges), dtype=complex)
+    P = Rows(np.zeros_like(rows.band), np.zeros_like(rows.low))
+    for key, g in comp.pair_groups.items():
+        c = cot[g.idx] * g.w
+        grid = np.zeros(g.shape, dtype=complex)
+        np.add.at(grid, g.pos, np.where(g.conj, np.conj(c), c))
+        if key[0] == "angular":
+            s = rows.band.reshape(Q, rows.band.shape[1], -1)
+            table = np.fft.fft(s @ np.conj(s).transpose(0, 2, 1), axis=0)
+            gamma = np.fft.fft(grid, axis=0)
+            P.band.reshape(s.shape)[...] += (np.conj(gamma) + gamma.transpose(0, 2, 1)) @ s
+        else:
+            # zero-lag pairs of m = 0 components or low-pass slices
+            assert g.shape[1:] == (1, 1)
+            (ba, ra), (bb, rb) = comp.slot[key[1]], comp.slot[key[2]]
+            a, b = rows[ba][0, ra], rows[bb][0, rb]
+            table = np.full(g.shape, np.sum(a * np.conj(b)))
+            P[ba][0, ra] += b * np.conj(grid[0, 0, 0])
+            P[bb][0, rb] += a * grid[0, 0, 0]
+        v = g.w * table[g.pos]
+        np.add.at(vals, g.idx, np.where(g.conj, np.conj(v), v))
+    # every band slice of a row has the row's rotation-averaged power
+    power = {rk: np.sum(np.abs(rows[b][:, r]) ** 2) for rk, (b, r) in comp.slot.items()}
+    diag = {(ch, k): power[slice_of(ch, k)[0]] for (ch, k) in comp.classes}
+    P = P._replace(band=np.fft.ifft(P.band, axis=0))
+    fields = channel_fields(x, bank)
+    total_hat = np.zeros(x.shape, dtype=complex)
+    for rk, (b, r) in comp.slot.items():
+        for (ch, k), p in zip(comp.keys[rk], P[b][:, r]):
+            if k == 1:
+                total_hat += bank.filter(ch) * np.conj(p) / bank.d
+                continue
+            p = np.fft.ifft2(p)
+            d1, d2 = harmonic_derivative(fields[ch], k)
+            total_hat += bank.filter(ch) * np.fft.ifft2(np.conj(p) * d1 + p * np.conj(d2))
+    return vals * comp.sign_factor, diag, 2.0 * np.real(np.fft.fft2(total_hat))
+
+
+def assert_matches_full_q_reference(comp, x, means, seed):
+    """Rows, edge values, diagonals and the gradient for random cotangents
+    against :func:`full_rows` and :func:`full_q_reference`, to 1e-12."""
+    spectra, _, fields = comp.harmonic_rows(x, means)
+    assert_rows_match_full_q(comp, x, spectra, means)
+    cot = np.random.default_rng(seed).standard_normal((len(comp.edges), 2)) @ [1, 1j]
+    ref_vals, ref_diag, ref_grad = full_q_reference(comp, x, means, cot)
+    vals = comp.edge_values(spectra)
+    assert np.max(np.abs(vals - ref_vals)) < 1e-12 * np.max(np.abs(ref_vals))
+    assert_diagonals_match(comp.diagonals(spectra), ref_diag)
+    grad = comp.gradient_fields(spectra, fields, cot)
+    assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+
 def assert_rows_match_full_q(comp, x, spectra, means):
     """Rows computed for ell < Q/2, the upper angles mirrored and k = 1 rows
-    filled in Fourier, against :func:`full_rows` to 1e-12 relative."""
+    filled in Fourier, against :func:`full_rows` to 1e-12 relative; under
+    rotations the band buffer holds the half-plane w1 <= N/2 only."""
     for got, want in zip(spectra, full_rows(comp, x, means)):
+        want = want[..., :got.shape[-2], :]
         if want.size:
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
@@ -359,6 +424,35 @@ class TestSpectralEngine:
         f, grad = value_and_grad(x, target)
         assert abs(f - ref_f) < 1e-12 * ref_f
         assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
+    @pytest.mark.parametrize("name", ["D", "D-reflections-sign"])
+    def test_half_plane_against_full_q_reference(self, name):
+        target = engine_target(name)
+        x = white_noise(32, np.sqrt(target.sigma2), 57)
+        assert_matches_full_q_reference(target.computer, x, target.means, 58)
+
+    def test_half_plane_against_full_q_reference_at_paper_geometry(self):
+        # model D at side 128, J5/Q16: the rows' half-plane, the Gram
+        # matrices of m and -m and the products at every m
+        spec = model_preset("D", J=5, Q=16)
+        rng = np.random.default_rng(59)
+        xbar = rng.standard_normal((128, 128)) * np.exp(0.5 * rng.standard_normal((128, 128)))
+        target = build_target(xbar, spec)
+        assert target.computer.shapes == ((16, 15), (1, 2))
+        x = white_noise(128, np.sqrt(target.sigma2), 60)
+        assert_matches_full_q_reference(target.computer, x, target.means, 61)
+
+    @pytest.mark.parametrize("name", ["D", "D-reflections-sign"])
+    def test_angular_spectra_of_opposite_frequencies(self, name):
+        # a real field has S_m(-w) = (-1)^m conj(S_{-m}(w)): the band buffer
+        # needs only the half-plane w1 <= N/2
+        target = engine_target(name)
+        comp = target.computer
+        s = full_rows(comp, white_noise(32, 1.0, 62), target.means).band
+        at_minus_w = np.roll(s[..., ::-1, ::-1], 1, axis=(2, 3))
+        m = np.arange(comp.Q)
+        mirrored = (-1.0) ** m[:, None, None, None] * np.conj(s[-m])
+        assert np.max(np.abs(at_minus_w - mirrored)) < 1e-12 * np.max(np.abs(s))
 
     def test_low_pass_against_bands_under_rotations(self):
         # rotation-averaged terms pairing the one-slice low-pass row with a band row
@@ -517,9 +611,11 @@ class TestSpectralEngine:
         # each row buffer is transformed both ways for ell < Q/2 only, a
         # channel field and its chain term for ell < Q/2 only, plus x_hat
         # twice, the final transform and the angular tables; under rotations
-        # the band buffer is transformed along the angle whole, both ways
-        channels = comp.bank.J * Q // 2 + 1
-        assert planes <= 2 * (Q // 2 * R + L) + 2 * channels + 4 + 2 * Q * R * comp.rotated
+        # the band buffer's half-plane w1 <= N/2 is transformed along the
+        # angle, both ways
+        channels, n = comp.bank.J * Q // 2 + 1, comp.bank.side
+        angular = 2 * Q * R * (n // 2 + 1) / n * comp.rotated
+        assert planes <= 2 * (Q // 2 * R + L) + 2 * channels + 4 + angular
 
     def test_diagonals_match_spatial_power(self):
         target = engine_target("C-reflections-sign")

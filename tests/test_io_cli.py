@@ -634,6 +634,31 @@ class TestCli:
         best = (out / "best.txt").read_text().strip()
         assert best.startswith("sample_")
 
+    def test_synth_losses_report_stop_reason_and_armijo_fallbacks(self, tmp_path, monkeypatch):
+        results = []
+
+        def synthesize(*args, **kw):
+            results.append(cli_synthesize(*args, **kw))
+            return results[-1]
+
+        cli_synthesize = cli.synthesize
+        monkeypatch.setattr(cli, "synthesize", synthesize)
+        path, _ = self._field(tmp_path, seed=3)
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "B", "J": 2, "Q": 4},
+            "optimizer": {"max_iter": 6},
+        })
+        out = tmp_path / "synth"
+        assert main(["synth", str(path), "--config", cfg, "--out", str(out),
+                     "--restarts", "2", "--seed", "7"]) == 0
+        (result,) = results
+        lines = (out / "losses.csv").read_text().splitlines()
+        assert lines[0] == "restart,iterations,loss,stop_reason,armijo_fallbacks"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[3] for r in rows] == result.stop_reasons
+        assert [int(r[4]) for r in rows] == result.armijo_fallbacks
+        assert [float(r[2]) for r in rows] == [float(v) for v in result.losses]
+
     def test_synth_seed_reproducible(self, tmp_path):
         path, _ = self._field(tmp_path, seed=2)
         cfg = write_config(tmp_path / "cfg.json", {
@@ -760,6 +785,53 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["gauss-sample", str(tmp_path / "s.phkf"), "--out", str(out), *flags]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cov", "synth", "gauss-fit", "eval", "gauss-test",
+                                         "spectrum", "export"])
+    def test_complex_field_read_only_with_zero_imaginary_part(self, tmp_path, capsys, command):
+        # a complex field file whose imaginary part is exactly zero reads as
+        # its real part; any other is refused, never truncated to it
+        data = tmp_path / "data"
+        data.mkdir()
+        path = data / "x.phkf"
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "A" if command == "gauss-fit" else "B", "J": 2, "Q": 4},
+            **({"optimizer": {"max_iter": 3}} if command == "synth" else {})})
+        x = white_noise(16, 1.0, 8)
+
+        def run(field, out):
+            pio.write_field(path, field)
+            inputs = [str(data)] * 2 if command == "eval" else [str(path)]
+            config = [] if command in ("spectrum", "export") else ["--config", cfg]
+            target = out / "x.pgm" if command == "export" else out
+            code = main([command, *inputs, *config, "--out", str(target)])
+            return code, {f.name: f.read_bytes() for f in sorted(out.glob("*"))}
+
+        (tmp_path / "real").mkdir()
+        (tmp_path / "zero").mkdir()
+        code, outputs = run(x, tmp_path / "real")
+        assert code == 0 and outputs
+        assert run(x + 0j, tmp_path / "zero") == (code, outputs)
+        capsys.readouterr()
+        assert run(x + 1e-9j, tmp_path / "nonzero")[0] == 2
+        assert "must be real" in capsys.readouterr().err
+        assert not (tmp_path / "nonzero").exists()
+
+    @pytest.mark.parametrize("imag, code", [(0.0, 0), (1e-9, 4)])
+    def test_gauss_sample_complex_spectrum(self, tmp_path, capsys, imag, code):
+        spectrum = np.ones((8, 8)) + 1j * imag
+        pio.write_field(tmp_path / "s.phkf", spectrum)
+        out = tmp_path / "out"
+        assert main(["gauss-sample", str(tmp_path / "s.phkf"), "--out", str(out)]) == code
+        if code:
+            assert "must be real" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            real = tmp_path / "real"
+            pio.write_field(tmp_path / "r.phkf", spectrum.real)
+            assert main(["gauss-sample", str(tmp_path / "r.phkf"), "--out", str(real)]) == 0
+            assert ((out / "sample_000.phkf").read_bytes()
+                    == (real / "sample_000.phkf").read_bytes())
 
     def test_gauss_sample_largest_seed(self, tmp_path):
         pio.write_field(tmp_path / "s.phkf", np.ones((8, 8)))
