@@ -134,11 +134,11 @@ def cmd_synth(args):
     _write_samples(out, result.samples)
     rows = [
         (i, result.iterations[i], float(result.losses[i]), result.stop_reasons[i],
-         result.armijo_fallbacks[i])
+         result.armijo_fallbacks[i], result.grad_norms[i])
         for i in range(len(result.samples))
     ]
-    pio.write_csv(out / "losses.csv",
-                  ["restart", "iterations", "loss", "stop_reason", "armijo_fallbacks"], rows)
+    pio.write_csv(out / "losses.csv", ["restart", "iterations", "loss", "stop_reason",
+                                       "armijo_fallbacks", "grad_norm"], rows)
     curves = []
     for i, curve in enumerate(result.loss_curves):
         curves.extend((i, t, float(v)) for t, v in enumerate(curve))

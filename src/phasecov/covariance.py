@@ -13,15 +13,17 @@ alone) at one exponent k; a slice is one angle of it.  A slice's spectrum
 scaled by 1/d holds its translation mean in the DC bin, so centering a slice
 changes that one bin.  :meth:`EdgeComputer.harmonic_rows` alone builds,
 transforms and centers rows, in two buffers per field, and every reader
-takes its slices from there.  Three primitives work on these spectra:
-:func:`lag_correlations`, one FFT of the cross-spectrum A conj(B) of two
-slices for all their lags; :class:`LagWindow`, the same correlations on a
-box t1 x t2 of lags only, by two small DFT products E1^T (A conj(B)) E2;
-and Parseval's identity, sum_w A(w) conj(B(w)), at lag zero.  Synthesis and
-the tables read lag windows, and under rotations the angular Gram diagonal
-sums of all band rows at once; :func:`gaussianity_report` reads zero-lag
-edges and :mod:`phasecov.evaluation` full lag maps (:func:`lag_correlations`),
-each from a translation-only computer.
+takes its slices from there; a harmonic [y]^k of a channel field comes from
+|y| and one phasor u = y / |y| (1 at y = 0), and the gradient needs u only.
+Three primitives work on these spectra: :func:`lag_correlations`, one FFT
+of the cross-spectrum A conj(B) of two slices for all their lags;
+:class:`LagWindow`, the same correlations on a box t1 x t2 of lags only, by
+two small DFT products E1^T (A conj(B)) E2; and Parseval's identity,
+sum_w A(w) conj(B(w)), at lag zero.  Synthesis and the tables read lag
+windows, and under rotations the angular Gram diagonal sums of all band rows
+at once; :func:`gaussianity_report` reads zero-lag edges and
+:mod:`phasecov.evaluation` full lag maps (:func:`lag_correlations`), each
+from a translation-only computer.
 
 Fields are real.  Band filter (j, ell + Q/2) is filter (j, ell) at -w, so a
 real field has y_{j,ell+Q/2} = conj(y_{j,ell}) and, as [conj z]^k =
@@ -47,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Edge, ModelSpec, SymmetryGroup, require_single_position
-from .harmonics import harmonic_derivative, phase_harmonic
+from .harmonics import harmonic_derivative, phase_harmonic, phasor_power
 from .wavelets import LOWPASS, channel_fields
 
 
@@ -73,6 +75,26 @@ def slice_of(ch, k):
 def row_channels(row, Q):
     """Channels stacked in a row, in slice order."""
     return [LOWPASS] if row == LOWPASS else [(row, ell) for ell in range(Q)]
+
+
+def phasor_harmonic(y, a, u, k):
+    """[y]^k from y, a = |y| and its unit phasor u (1 where y = 0): a at
+    k = 0, y u at k = 2, a u^k at any other k."""
+    return a if k == 0 else y * u if k == 2 else a * phasor_power(u, k)
+
+
+def harmonic_chain(p, u, k):
+    """conj(p) d[y]^k/dy + p conj(d[y]^k/dy*) at a field y of unit phasor u,
+    by products exact under a negation of u: closed forms at k = 0, 2, -1,
+    :func:`harmonic_derivative` of u at any other k."""
+    if k == -1:
+        return p
+    if k == 0:
+        return np.conj(u) * p.real
+    if k == 2:
+        return 1.5 * np.conj(p) * u - 0.5 * p * np.conj(u * u * u)
+    d1, d2 = harmonic_derivative(u, k)
+    return np.conj(p) * d1 + p * np.conj(d2)
 
 
 def lag_correlations(a, b):
@@ -155,9 +177,10 @@ def edge_orbit_terms(ch, ch2, du, group, Q):
 
 class Rows(NamedTuple):
     """Centered spectra of one field's harmonic rows, out of
-    :meth:`EdgeComputer.harmonic_rows`.  ``band`` (Q, R, N, N) holds the band
-    rows and ``low`` (1, L, N, N) the low-pass rows, slice by row, at the
-    positions :attr:`EdgeComputer.slot` gives.  A slice is fft2(h - mean) / d;
+    :meth:`EdgeComputer.harmonic_rows` (with the means and channel phasors).
+    ``band`` (Q, R, N, N) holds the band rows and ``low`` (1, L, N, N) the
+    low-pass rows, slice by row, at the positions :attr:`EdgeComputer.slot`
+    gives.  A slice is fft2(h - mean) / d;
     under rotations the band buffer is also Fourier transformed along the
     angle (scaled by 1/Q), so ``band[m, r]`` is angular component m of row r,
     and holds the half-plane w1 <= N/2 only, (Q, R, N/2 + 1, N): for a real
@@ -254,9 +277,11 @@ class EdgeComputer:
         # (channel, k) of each slice of a row
         self.keys = {(row, k): [(ch, k) for ch in row_channels(row, self.Q)]
                      for (row, k) in self.rows}
-        # the channel fields the harmonic rows stack at ell < Q/2, or the low-pass
-        self.channels = list(dict.fromkeys(
-            ch for rk in self.rows if rk[1] != 1 for (ch, _) in self.keys[rk][:self.Q // 2]))
+        # channels with rows k != 1 (ell < Q/2, or the low-pass) -> (buffer, row, slice, k)
+        self.channels = {}
+        for rk, (b, r) in self.slot.items():
+            for ell, (ch, k) in enumerate(self.keys[rk][:self.Q // 2] if rk[1] != 1 else ()):
+                self.channels.setdefault(ch, []).append((b, r, ell, k))
         self.shapes = ((self.Q, len(band)), (1, len(low)))
         self.rotated = self.group.rotations and self.Q > 1
         n = bank.side
@@ -330,12 +355,15 @@ class EdgeComputer:
 
     def harmonic_rows(self, x, means=None):
         """Centered spectra of every harmonic row of ``x`` (:class:`Rows`),
-        the means they are centered on, and the channel fields (computed
-        only for rows with k != 1, at ell < Q/2 or the low-pass).
+        the means they are centered on, and the unit phasors u = y / |y|
+        (1 where y = 0) of the channel fields y of :attr:`channels`, stacked
+        (C, N, N) in that order for :meth:`gradient_fields`.
 
-        Slices ell < Q/2 are filled with their harmonic fields and
-        transformed in place, at k = 1 filled as psi_hat x_hat / d; slice
-        ell + Q/2 is written as conj(S_ell(-w)).  The raw slice means are
+        The channel fields are formed in that stack by one batched inverse
+        FFT.  Per channel, |y| and u are computed once, fill the slices
+        ell < Q/2 of its rows (:func:`phasor_harmonic`), and u overwrites y.
+        Slices are transformed in place, at k = 1 filled as psi_hat x_hat / d;
+        slice ell + Q/2 is written as conj(S_ell(-w)).  The raw slice means are
         then the DC bins.  With ``means`` None they are averaged over the
         channel orbit (:meth:`averaged_means`); the means are subtracted at
         the DC bins.  Under rotations the band buffer keeps the half-plane
@@ -347,7 +375,6 @@ class EdgeComputer:
         """
         _require_real(x)
         h, (hp, n) = self.Q // 2, self.planes[0]
-        fields = channel_fields(x, self.bank, self.channels)
         xhat = np.fft.fft2(x, norm="forward")
         rows = Rows(*(np.empty(s + p, dtype=complex) for s, p in zip(self.shapes, self.planes)))
         # whole planes of the slices ell < Q/2: the buffers themselves, or
@@ -356,12 +383,22 @@ class EdgeComputer:
         if self.rotated:
             whole = rows._replace(band=np.empty((h, self.harmonic[0], n, n), dtype=complex))
         for rk, (b, r) in self.slot.items():
-            if b == 0 and self.rotated and rk[1] == 1:
-                for out, (ch, _) in zip(rows.band[:, r], self.keys[rk]):
-                    np.multiply(self.bank.filter(ch)[:hp], xhat[:hp], out=out)
-                continue
-            for s, (ch, k) in enumerate(self.keys[rk][:h]):
-                whole[b][s, r] = self.bank.filter(ch) * xhat if k == 1 else phase_harmonic(fields[ch], k)
+            if rk[1] == 1:
+                # psi_hat x_hat / d: under rotations every angle on the half-plane
+                outs = rows.band[:, r] if b == 0 and self.rotated else whole[b][:h, r]
+                for out, (ch, _) in zip(outs, self.keys[rk]):
+                    np.multiply(self.bank.filter(ch)[:len(out)], xhat[:len(out)], out=out)
+        # the channel fields in one stack; per channel |y| and u fill its slices
+        ys = np.empty((len(self.channels), n, n), dtype=complex)
+        for y, ch in zip(ys, self.channels):
+            np.multiply(self.bank.filter(ch), xhat, out=y)
+        np.fft.ifftn(ys, axes=(1, 2), norm="forward", out=ys)
+        for y, uses in zip(ys, self.channels.values()):
+            a = np.abs(y)
+            u = np.divide(y, a, out=np.ones_like(y), where=a > 0)
+            for b, r, ell, k in uses:
+                whole[b][ell, r] = phasor_harmonic(y, a, u, k)
+            y[...] = u
         for buf, m in zip(whole, self.harmonic):
             np.fft.fft2(buf[:h, :m], norm="forward", out=buf[:h, :m])
         lower, r = whole.band[:h], whole.band.shape[1]
@@ -378,7 +415,7 @@ class EdgeComputer:
             rows[b][:, r, 0, 0] -= [means[vk] for vk in self.keys[rk]]
         if self.rotated:
             np.fft.fft(rows.band, axis=0, norm="forward", out=rows.band)
-        return rows, means, fields
+        return rows, means, ys
 
     def averaged_means(self, raw):
         """Group-average the translation means over the channel orbit."""
@@ -444,7 +481,7 @@ class EdgeComputer:
 
     # ----- objective support ----------------------------------------------
 
-    def gradient_fields(self, spectra, fields, cot):
+    def gradient_fields(self, spectra, phasors, cot):
         """Real gradient of sum_e 2*Re[cot_e * dK_e] through the harmonics.
 
         ``cot`` holds per-edge Wirtinger cotangents dF/dK(e).  With g(du) the
@@ -453,14 +490,17 @@ class EdgeComputer:
         P_b(w) = (1/d) sum_du conj(g(du)) conj(a(w-du)),
         accumulated as B conj(G) and A G, G = E1 g E2^T.  The angular table's
         cotangents Gamma, Fourier transformed along the diagonal offset, turn
-        S_m into P_m = M_m S_m, M_m = conj(Gamma_m) + Gamma_m^T; without an
-        angular group the band buffer is zeroed.  The accumulators, one block
-        per buffer, are then added into the band buffer and copied into the
-        low-pass one (``spectra`` is used up).  Band slice ell + Q/2 is
-        conj(slice ell), so P_ell += conj(P_{ell+Q/2}(-w)), and only slices
-        ell < Q/2 of rows with k != 1 are inverse transformed and chained
-        through the harmonic (conj(pe) at k = -1) and the filter.  A k = 1
-        slice's chain term pe = conj(ifft2(P)) has spectrum conj(P) / d.
+        S_m into P_m = M_m S_m, M_m = conj(Gamma_m) + Gamma_m^T.  The
+        accumulators, one block per buffer, are then added into the band
+        buffer (copied, without rotations) and copied into the low-pass one
+        (``spectra`` is used up).  Band slice ell + Q/2 is conj(slice ell), so
+        P_ell += conj(P_{ell+Q/2}(-w)), and only slices ell < Q/2 of rows
+        with k != 1 are inverse transformed, chained through their channel's
+        phasor u (:func:`harmonic_chain`: conj(u) Re P at k = 0,
+        (3/2) conj(P) u - (1/2) P conj(u^3) at k = 2, P at k = -1) and summed
+        into its slot of ``phasors`` (used up too), whose one inverse FFT
+        meets the filters.  A k = 1 slice's term pe = conj(ifft2(P)) has
+        spectrum conj(P) / d.
 
         Under rotations the fold comes before the inverse angle transform,
         on the half-plane: there P_m(w) + (-1)^m conj(P_{-m}(-w)) is
@@ -499,8 +539,8 @@ class EdgeComputer:
                     tb += win.tiles(a[p]) * gh
                     ta = win.tiles(acc_a[p])
                     ta += win.tiles(b[q]) * np.conj(gh)
-        if gamma is None:
-            s[...] = 0
+        if gamma is None:  # without rotations the accumulators cover all of s
+            s[...] = 0 if self.rotated else acc.band
         else:
             # (conj(Gamma_m) + Gamma_m^T) S_m, plus the same at -m, mirrored
             k = np.conj(gamma) + gamma[-np.arange(len(gamma))]
@@ -516,8 +556,6 @@ class EdgeComputer:
             top += acc.band[..., :len(self.rim), :]
             for t, mirrored in _minus_w(top, np.conjugate(acc.band, out=acc.band)):
                 t += mirrored
-        else:
-            s[self.view] += acc.band
         spectra.low[...] = acc.low
         del acc  # freed before the chain allocates its planes
         if self.rotated:
@@ -533,29 +571,23 @@ class EdgeComputer:
         for buf, m in zip(planes, self.harmonic):
             # ifftn, not ifft2: numpy 2.4's ifft2 ignores ``out``
             np.fft.ifftn(buf[:h, :m], axes=(2, 3), out=buf[:h, :m])
-        # chain through the phase harmonic and back through the filters
-        per_channel = {}
+        # k = 1: pe = conj(ifft2(P)) has spectrum conj(P) / d; a rotated band row's
+        # every angle on the half-plane, whose rows 0 < w1 < N/2 stand for -w too
         total_hat = np.zeros((n, n), dtype=complex)
         for rk, (b, r) in self.slot.items():
-            if b == 0 and self.rotated and rk[1] == 1:
-                # every angle on the half-plane, whose rows 0 < w1 < N/2
-                # stand for -w too: the k = 1 term below, weighted by rim / 2
-                linear = np.zeros(s.shape[2:], dtype=complex)
-                for (ch, _), p in zip(self.keys[rk], s[:, r]):
-                    linear += self.bank.filter(ch)[:len(p)] * p
-                total_hat[:len(linear)] += np.conj(linear) * self.rim / (2 * self.bank.d)
-                continue
-            # the low-pass row's one slice, or ell < Q/2; pe = conj(p)
-            for (ch, k), p in zip(self.keys[rk][:h], planes[b][:h, r]):
-                if k == 1:  # p is still P, and pe has the spectrum conj(P) / d
-                    total_hat += self.bank.filter(ch) * np.conj(p) / self.bank.d
-                    continue
-                if k != -1:
-                    d1, d2 = harmonic_derivative(fields[ch], k)
-                    p = np.conj(p) * d1 + p * np.conj(d2)
-                per_channel[ch] = per_channel.get(ch, 0) + p
-        for ch, g in per_channel.items():
-            total_hat += self.bank.filter(ch) * np.fft.ifft2(g)
+            if rk[1] == 1:
+                half = b == 0 and self.rotated
+                ps, w = (s[:, r], self.rim / 2) if half else (planes[b][:h, r], 1.0)
+                linear = sum(self.bank.filter(ch)[:len(p)] * p for (ch, _), p in zip(self.keys[rk], ps))
+                total_hat[:len(linear)] += np.conj(linear) * w / self.bank.d
+        # every other row through its channel's phasor, summed per channel in
+        # the phasor's slot, then back through the filters
+        for u, uses in zip(phasors, self.channels.values()):
+            u[...] = sum(harmonic_chain(planes[b][ell, r], u, k) for b, r, ell, k in uses)
+        np.fft.ifftn(phasors, axes=(1, 2), out=phasors)
+        for g, ch in zip(phasors, self.channels):
+            g *= self.bank.filter(ch)
+            total_hat += g
         return 2.0 * np.real(np.fft.fft2(total_hat))
 
 
@@ -828,28 +860,17 @@ def sparsity_ratios(fields_list, bank):
     """E(|y|)^2 / E(|y|^2) per band channel over one or more real fields.
     Channel (j, ell + Q/2) is the conjugate of (j, ell), so only ell < Q/2 is
     computed and the partner gets the same ratio."""
+    lower = [c for c in bank.channels() if c != LOWPASS and c[1] < bank.Q // 2]
     sums, count = 0.0, 0
     for x in fields_list:
         _require_real(x)
-        sums += _abs_sums(channel_fields(x, bank, _lower_bands(bank)), bank)
+        ys = channel_fields(x, bank, lower)
+        sums += np.array([(a.sum(), (a * a).sum()) for a in (np.abs(ys[c]) for c in lower)])
         count += x.size
-    return _ratios(sums / count, bank)
-
-
-def _lower_bands(bank):
-    return [c for c in bank.channels() if c != LOWPASS and c[1] < bank.Q // 2]
-
-
-def _abs_sums(fields, bank):
-    """Sums of |y| and |y|^2 over each :func:`_lower_bands` channel field."""
-    return np.array([(a.sum(), (a * a).sum()) for a in (np.abs(fields[c]) for c in _lower_bands(bank))])
-
-
-def _ratios(means, bank):
-    """Sparsity ratios from the means of :func:`_abs_sums`; ell + Q/2 as ell."""
+    means = sums / count
     if not np.all(means[:, 1] > 0):
         raise ConfigError("a band channel of the field has no energy: its sparsity ratio is undefined")
-    r = dict(zip(_lower_bands(bank), means[:, 0] ** 2 / means[:, 1]))
+    r = dict(zip(lower, means[:, 0] ** 2 / means[:, 1]))
     return {(j, ell): float(r[(j, ell % (bank.Q // 2))]) for (j, ell) in bank.filters}
 
 
@@ -880,11 +901,8 @@ def gaussianity_report(fields, bank, threshold=0.05):
                 edges.append(Edge(ch, 2, ch2, -1, (0, 0)))
     comp = EdgeComputer(edges, ModelSpec(J=bank.J, Q=Q), bank)
     vals = [[] for _ in edges]
-    sums = 0.0
     for x in fields:
-        spectra, _, ys = comp.harmonic_rows(x)
-        ys.update(channel_fields(x, bank, [c for c in _lower_bands(bank) if c not in ys]))
-        sums += _abs_sums(ys, bank)
+        spectra = comp.harmonic_rows(x)[0]
         diag = comp.diagonals(spectra)
         for v, e, c in zip(vals, edges, comp.edge_values(spectra)):
             denom = np.sqrt(diag[(e.ch, e.k)] * diag[(e.ch2, e.k2)])
@@ -893,7 +911,7 @@ def gaussianity_report(fields, bank, threshold=0.05):
     cross = [((e.ch, e.k, e.ch2, e.k2), complex(np.mean(v)),
               (np.std(v) / np.sqrt(len(v))) if len(v) > 1 else None)
              for e, v in zip(edges, vals) if v]
-    ratios = _ratios(sums / sum(x.size for x in fields), bank)
+    ratios = sparsity_ratios(fields, bank)
     flags = {c: r < np.pi / 4 - threshold for c, r in ratios.items()}
     return GaussianityReport(
         ratios=ratios, flags=flags, cross=cross, threshold=threshold, n_fields=len(fields)

@@ -117,15 +117,16 @@ def strong_wolfe(fun_grad, x, f0, g0, direction, c1=1e-4, c2=0.9, alpha0=1.0,
 
 
 def lbfgs_minimize(fun_grad, x0, memory=10, c1=1e-4, c2=0.9, gtol=1e-8,
-                   max_iter=1000, f_target=None, callback=None):
+                   max_iter=1000, f_ratio=None, callback=None):
     """Minimize ``fun_grad`` (returning (f, grad)) from ``x0``.
 
-    Stops on gradient infinity-norm below ``gtol``, on ``f_target`` reached,
-    on ``max_iter``, or on a failed line search (best iterate returned with
-    ``stop_reason`` set).
+    Stops on gradient infinity-norm below ``gtol``, on f <= ``f_ratio`` f(x0)
+    if f(x0) > 0 ("f_target"), on ``max_iter``, or on a failed line search
+    (best iterate returned with ``stop_reason`` set).
     """
     x = np.array(x0, dtype=float, copy=True)
     f, g = fun_grad(x)
+    f_target = f_ratio * f if f_ratio is not None and f > 0 else None
     s_list, y_list, rho_list = [], [], []
     losses = [f]
     fallbacks = 0

@@ -77,12 +77,12 @@ def objective_gradient(x, target):
 
 def value_and_grad(x, target):
     comp = target.computer
-    spectra, _, fields = comp.harmonic_rows(x, target.means)
+    spectra, _, phasors = comp.harmonic_rows(x, target.means)
     vals = comp.edge_values(spectra)
     res = (vals - target.ref_values) / target.scales
     f = float(np.sum(np.abs(res) ** 2))
     cot = np.conj(res) / target.scales  # dF/dK(e)
-    grad = comp.gradient_fields(spectra, fields, cot)
+    grad = comp.gradient_fields(spectra, phasors, cot)
     return f, grad
 
 
@@ -96,6 +96,7 @@ class SynthesisResult:
     loss_curves: list = field(default_factory=list)
     armijo_fallbacks: list = field(default_factory=list)
     stop_reasons: list = field(default_factory=list)
+    grad_norms: list = field(default_factory=list)
 
     @property
     def best_index(self):
@@ -109,7 +110,6 @@ class SynthesisResult:
 def run_descent(target, x0, max_iter=None, callback=None):
     """One L-BFGS descent of the synthesis objective from ``x0``."""
     opt = target.spec.optimizer
-    f0 = objective(x0, target)
     result = lbfgs_minimize(
         lambda x: value_and_grad(x, target),
         np.asarray(x0, dtype=float),
@@ -118,10 +118,10 @@ def run_descent(target, x0, max_iter=None, callback=None):
         c2=opt.c2,
         gtol=opt.gtol,
         max_iter=opt.max_iter if max_iter is None else max_iter,
-        f_target=opt.eps_ratio * f0 if f0 > 0 else None,
+        f_ratio=opt.eps_ratio,
         callback=callback,
     )
-    return result, f0
+    return result, result.losses[0]
 
 
 def restart_seed(base_seed, r):
@@ -173,4 +173,5 @@ def synthesize(xbar, spec, n_restarts=None, seed=None, target=None, max_iter=Non
         out.loss_curves.append(result.losses)
         out.armijo_fallbacks.append(result.armijo_fallbacks)
         out.stop_reasons.append(result.stop_reason)
+        out.grad_norms.append(result.grad_norm)
     return out

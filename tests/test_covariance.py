@@ -15,6 +15,8 @@ from phasecov.covariance import (
     estimate_mean,
     fourier_harmonic_covariance,
     gaussianity_report,
+    harmonic_chain,
+    phasor_harmonic,
     LagWindow,
     lag_correlations,
     normalize_correlations,
@@ -480,6 +482,37 @@ class TestSpectralEngine:
         assert comp.harmonic == (3, 1)  # rows (2, 2), (1, -1), (2, -1); (low, -1)
         assert_matches_spatial_reference(comp, white_noise(16, 1.0, 55), 56)
 
+    @pytest.mark.parametrize("rotations", [False, True])
+    def test_general_exponent_rows(self, rotations):
+        # k = 3 and k = -2 rows: |y| u^k forward, harmonic_derivative of the
+        # phasor in the chain
+        spec = model_preset("D" if rotations else "B", J=2, Q=4)
+        bank = build_bump_bank(16, spec.J, spec.Q)
+        edges = [Edge((1, 0), 3, (2, 1), 0, (0, 0)), Edge((2, 1), -2, (1, 3), 3, (0, 0)),
+                 Edge(LOWPASS, 3, (1, 1), 1, (0, 0))]
+        edges += [] if rotations else [Edge((1, 1), 3, (2, 2), -2, (1, -2))]
+        comp = EdgeComputer(edges, spec, bank)
+        assert_matches_spatial_reference(comp, white_noise(16, 1.0, 64), 65)
+
+    @pytest.mark.parametrize("name", ["C", "D"])
+    def test_gradient_at_an_identically_zero_channel(self, name):
+        # a field of period 4 along the first axis has its spectrum on the
+        # rows w1 = 0 mod N/4 only, which the coarsest filter (3, 0) and its
+        # mirror miss: their channel fields are exactly zero, and the phasor
+        # there is 1 (the convention phi(0) = 0)
+        target = engine_target(name)
+        comp = target.computer
+        rng = np.random.default_rng(66)
+        x = np.tile(rng.standard_normal((4, 32)), (8, 1)) * np.sqrt(target.sigma2)
+        assert not np.any(channel_fields(x, comp.bank, [(3, 0)])[(3, 0)])
+        spectra, _, phasors = comp.harmonic_rows(x, target.means)
+        assert np.all(phasors[list(comp.channels).index((3, 0))] == 1)
+        cot = rng.standard_normal((len(comp.edges), 2)) @ [1, 1j]
+        grad = comp.gradient_fields(spectra, phasors, cot)
+        _, ref_grad = spatial_reference(comp, x, target.means, cot)
+        assert np.all(np.isfinite(grad))
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12 * np.max(np.abs(ref_grad))
+
     def test_lagged_low_pass_edge_under_rotations_rejected(self):
         # rotations relabel angles and leave lags unturned: every edge, the
         # low-pass pairs too, must sit at lag (0, 0)
@@ -623,6 +656,46 @@ class TestSpectralEngine:
         x = white_noise(32, 1.0, 43)
         spectra, _, _ = comp.harmonic_rows(x, target.means)
         assert_diagonals_match(comp.diagonals(spectra), spatial_diagonals(comp, x, target.means))
+
+
+def unit_phasor(z):
+    """|z| and z / |z|, 1 where z = 0, as :meth:`EdgeComputer.harmonic_rows`
+    forms them."""
+    a = np.abs(z)
+    return a, np.divide(z, a, out=np.ones_like(z), where=a > 0)
+
+
+class TestPhasorClosedForms:
+    @pytest.mark.parametrize("k", [-1, 0, 2, 3])
+    def test_against_general_formulas(self, k):
+        # random z with exact zeros, where u = 1 and [0]^k = 0
+        rng = np.random.default_rng(70 + k)
+        z = (rng.standard_normal((400, 2)) @ [1, 1j]) * np.exp(rng.standard_normal(400))
+        z[::9] = 0
+        a, u = unit_phasor(z)
+        assert np.all(u[::9] == 1)
+        want = phase_harmonic(z, k)
+        got = phasor_harmonic(z, a, u, k)
+        assert np.all(got[::9] == 0)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        p = rng.standard_normal((400, 2)) @ [1, 1j]
+        d1, d2 = harmonic_derivative(z, k)
+        want = np.conj(p) * d1 + p * np.conj(d2)
+        got = harmonic_chain(p, u, k)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [-1, 0, 2, 3])
+    def test_exact_under_negation(self, k):
+        # y -> -y negates u exactly, and [y]^k and its chain by (-1)^k and
+        # (-1)^(k+1), to the bit
+        rng = np.random.default_rng(80 + k)
+        y, p = rng.standard_normal((2, 100, 2)) @ [1, 1j]
+        a, u = unit_phasor(y)
+        a_neg, u_neg = unit_phasor(-y)
+        assert np.array_equal(a_neg, a) and np.array_equal(u_neg, -u)
+        sign = (-1.0) ** k
+        assert np.array_equal(phasor_harmonic(-y, a, -u, k), sign * phasor_harmonic(y, a, u, k))
+        assert np.array_equal(harmonic_chain(p, -u, k), -sign * harmonic_chain(p, u, k))
 
 
 class TestOrbitInvariance:

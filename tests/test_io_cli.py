@@ -25,6 +25,7 @@ from phasecov.graph import (
     preset_of,
 )
 from phasecov.grid import white_noise
+from phasecov.synthesis import build_target, value_and_grad
 from phasecov.wavelets import LOWPASS
 
 
@@ -653,11 +654,29 @@ class TestCli:
                      "--restarts", "2", "--seed", "7"]) == 0
         (result,) = results
         lines = (out / "losses.csv").read_text().splitlines()
-        assert lines[0] == "restart,iterations,loss,stop_reason,armijo_fallbacks"
+        assert lines[0] == "restart,iterations,loss,stop_reason,armijo_fallbacks,grad_norm"
         rows = [line.split(",") for line in lines[1:]]
         assert [r[3] for r in rows] == result.stop_reasons
         assert [int(r[4]) for r in rows] == result.armijo_fallbacks
         assert [float(r[2]) for r in rows] == [float(v) for v in result.losses]
+
+    def test_synth_losses_report_final_gradient_norm(self, tmp_path):
+        path, x = self._field(tmp_path, seed=4)
+        cfg = write_config(tmp_path / "cfg.json", {
+            "model": {"name": "B", "J": 2, "Q": 4},
+            "optimizer": {"max_iter": 4},
+        })
+        out = tmp_path / "synth"
+        assert main(["synth", str(path), "--config", cfg, "--out", str(out),
+                     "--restarts", "2", "--seed", "9"]) == 0
+        lines = (out / "losses.csv").read_text().splitlines()
+        column = lines[0].split(",").index("grad_norm")
+        target = build_target(x, model_preset("B", J=2, Q=4))
+        assert len(lines) == 3
+        for i, line in enumerate(lines[1:]):
+            # the infinity norm of the gradient at the restart's written sample
+            _, grad = value_and_grad(pio.read_field(out / f"sample_{i:03d}.phkf"), target)
+            assert float(line.split(",")[column]) == pytest.approx(np.max(np.abs(grad)), rel=1e-12)
 
     def test_synth_seed_reproducible(self, tmp_path):
         path, _ = self._field(tmp_path, seed=2)

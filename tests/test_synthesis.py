@@ -217,6 +217,27 @@ class TestSynthesize:
             assert result.losses[best] < 1e-3 * result.initial_losses[best], spec.name
 
 
+class TestRunDescent:
+    def test_start_is_evaluated_once_and_its_loss_is_the_objective(self, monkeypatch):
+        from phasecov import synthesis
+
+        side = 16
+        target = build_target(gaussian_reference(side, 28), small_b_spec())
+        x0 = white_noise(side, np.sqrt(target.sigma2), 29)
+        f0 = objective(x0, target)
+        starts = []
+
+        def counted(x, tgt):
+            starts.append(np.array_equal(x, x0))
+            return value_and_grad(x, tgt)
+
+        monkeypatch.setattr(synthesis, "value_and_grad", counted)
+        monkeypatch.setattr(synthesis, "objective", None)  # no separate forward pass
+        result, initial = run_descent(target, x0, max_iter=3)
+        assert initial == f0 == result.losses[0]
+        assert starts.count(True) == 1
+
+
 class TestTrajectoryEquivariance:
     def _trajectories(self, target, x0, iters):
         traj = []
